@@ -260,6 +260,28 @@ impl SizedCell {
         let cs = size_device(tech, i_unit, vov_cs, Some(cs_area), None);
         let cas = size_device(tech, i_unit, vov_cas, None, cas_length);
         let sw = size_device(tech, i_unit, vov_sw, None, sw_length);
+        Self::cascoded_from_devices(tech, i_unit, cs, cas, sw, vov_cs, vov_cas, vov_sw)
+    }
+
+    /// Assembles a cascoded cell from pre-sized CS, cascode and switch
+    /// devices — the cascoded twin of [`SizedCell::simple_from_devices`].
+    /// The cascode and the switch of a minimum-length cell are both sized
+    /// by [`SizedCell::sized_sw_device`] (each depends only on its own
+    /// overdrive), the CS by [`SizedCell::sized_cs_device`]. With devices
+    /// from those two constructors at the same `(i_unit, vov_*)` values the
+    /// result is field-for-field bit-identical to
+    /// [`SizedCell::cascoded_from_overdrives`] with default lengths.
+    #[allow(clippy::too_many_arguments)]
+    pub fn cascoded_from_devices(
+        tech: &Technology,
+        i_unit: f64,
+        cs: Mosfet,
+        cas: Mosfet,
+        sw: Mosfet,
+        vov_cs: f64,
+        vov_cas: f64,
+        vov_sw: f64,
+    ) -> Self {
         Self {
             topology: CellTopology::Cascoded,
             cs,
@@ -451,6 +473,25 @@ mod tests {
         assert_eq!(cell.topology(), CellTopology::Cascoded);
         assert!(cell.cas().is_some());
         assert!((cell.overdrive_sum() - 1.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cascoded_cell_from_presized_devices_is_bit_identical() {
+        let tech = Technology::c035();
+        let (i, cs, cas, sw) = (78.1e-6, 0.4, 0.3, 0.5);
+        let direct =
+            SizedCell::cascoded_from_overdrives(&tech, i, cs, cas, sw, 400e-12, None, None);
+        let assembled = SizedCell::cascoded_from_devices(
+            &tech,
+            i,
+            SizedCell::sized_cs_device(&tech, i, cs, 400e-12),
+            SizedCell::sized_sw_device(&tech, i, cas),
+            SizedCell::sized_sw_device(&tech, i, sw),
+            cs,
+            cas,
+            sw,
+        );
+        assert_eq!(assembled, direct);
     }
 
     #[test]

@@ -113,23 +113,62 @@ fn var_vt(pelgrom: &Pelgrom, wl: f64) -> f64 {
     s * s
 }
 
-/// σ² of one overdrive at fixed current demand: β mismatch of the device
-/// itself plus the coherent current error from the CS threshold (returned
-/// separately so correlated sums can be handled exactly).
+/// One device's own share of the bound variances: its overdrive, its
+/// threshold variance `σ²(V_T)` and the β-mismatch variance of its
+/// overdrive at fixed current, `(V_ov/2 · σ(β)/β)²`.
 ///
-/// Returns `(var_beta_part, vt_cs_sensitivity)` where the overdrive deviates
-/// by `vt_cs_sensitivity · δV_T,CS` plus an independent β part.
-fn vov_variation(
-    pelgrom: &Pelgrom,
-    vov: f64,
-    wl: f64,
-    vov_cs: f64,
-) -> (f64, f64) {
-    let s_beta = pelgrom.sigma_beta_rel(wl);
-    let var_beta = (0.5 * vov * s_beta).powi(2);
-    // δV_ov = (V_ov/2)·δI/I = (V_ov/2)·(−2·δV_T,CS/V_ov,CS)
-    let sens_vt_cs = -vov / vov_cs;
-    (var_beta, sens_vt_cs)
+/// Every term depends on that device's overdrive and gate area alone, so a
+/// grid search tabulates one `DeviceTerms` per axis value and combines
+/// them per point with [`cascoded_bound_sigmas_from_terms`]. The only
+/// cross-device coupling is the coherent current error from the CS
+/// threshold inside the mirror, `δI/I = −2·δV_T,CS/V_ov,CS`, which moves
+/// each overdrive by `(V_ov/2)·δI/I`; the combining functions apply it
+/// through the ratios `V_ov/V_ov,CS`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceTerms {
+    /// Design overdrive of the device in V.
+    pub vov: f64,
+    /// `σ²(V_T)` of the device in V².
+    pub var_vt: f64,
+    /// σ² of the device overdrive from its own β mismatch, in V².
+    pub var_beta: f64,
+}
+
+impl DeviceTerms {
+    /// The terms of a device of gate area `wl` (m²) at overdrive `vov`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wl` is not finite and strictly positive.
+    pub fn new(pelgrom: &Pelgrom, vov: f64, wl: f64) -> Self {
+        let s_beta = pelgrom.sigma_beta_rel(wl);
+        Self {
+            vov,
+            var_vt: var_vt(pelgrom, wl),
+            var_beta: (0.5 * vov * s_beta).powi(2),
+        }
+    }
+
+    /// Sensitivity of this overdrive to `δV_T,CS`:
+    /// `δV_ov = (V_ov/2)·(−2·δV_T,CS/V_ov,CS)`.
+    fn sens_vt_cs(&self, vov_cs: f64) -> f64 {
+        -self.vov / vov_cs
+    }
+}
+
+/// The part of the switch upper-bound variance that the CS device sets:
+/// the full-scale current error (2ⁿ units average their mismatch) plus the
+/// load-resistor tolerance, both scaled by the swing. The switch threshold
+/// term is added by the combining functions.
+///
+/// # Panics
+///
+/// Panics if `wl_cs` or `vov_cs` is not finite and strictly positive.
+pub fn full_scale_variance(spec: &DacSpec, pelgrom: &Pelgrom, wl_cs: f64, vov_cs: f64) -> f64 {
+    let sigma_i_fs_rel =
+        pelgrom.sigma_id_rel(wl_cs, vov_cs) / (spec.lsb_unit_count() as f64).sqrt();
+    let swing = spec.env.v_swing;
+    (swing * sigma_i_fs_rel).powi(2) + (swing * spec.tech.sigma_rl_rel).powi(2)
 }
 
 /// Bound sigmas of a *simple-topology* LSB cell (paper eq. (6)–(7)).
@@ -178,26 +217,17 @@ pub fn simple_bound_sigmas_from_geometry(
     vov_sw: f64,
 ) -> BoundSigmas {
     let pelgrom = Pelgrom::new(&spec.tech.nmos);
+    let cs = DeviceTerms::new(&pelgrom, vov_cs, wl_cs);
+    let sw = DeviceTerms::new(&pelgrom, vov_sw, wl_sw);
 
     // --- Upper bound: V_DD − I_FS·R_L + V_T,SW (eq. (6)) ---
-    // Full-scale current: 2ⁿ units average their mismatch.
-    let sigma_i_fs_rel =
-        pelgrom.sigma_id_rel(wl_cs, vov_cs) / (spec.lsb_unit_count() as f64).sqrt();
-    let swing = spec.env.v_swing;
-    let var_upper = (swing * sigma_i_fs_rel).powi(2)
-        + (swing * spec.tech.sigma_rl_rel).powi(2)
-        + var_vt(&pelgrom, wl_sw);
+    let var_upper = full_scale_variance(spec, &pelgrom, wl_cs, vov_cs) + sw.var_vt;
 
     // --- Lower bound: V_OD,CS + V_OD,SW + V_T,SW (eq. (7)) ---
-    let (var_b_cs, sens_cs) = vov_variation(&pelgrom, vov_cs, wl_cs, vov_cs);
-    let (var_b_sw, sens_sw) = vov_variation(&pelgrom, vov_sw, wl_sw, vov_cs);
     // The two overdrives respond coherently to δV_T,CS; sum sensitivities
     // before squaring.
-    let sens_total = sens_cs + sens_sw;
-    let var_lower = var_b_cs
-        + var_b_sw
-        + sens_total * sens_total * var_vt(&pelgrom, wl_cs)
-        + var_vt(&pelgrom, wl_sw);
+    let sens_total = cs.sens_vt_cs(vov_cs) + sw.sens_vt_cs(vov_cs);
+    let var_lower = cs.var_beta + sw.var_beta + sens_total * sens_total * cs.var_vt + sw.var_vt;
 
     BoundSigmas {
         upper: var_upper.sqrt(),
@@ -229,37 +259,45 @@ pub fn cascoded_bound_sigmas(spec: &DacSpec, cell: &SizedCell) -> CascodeBoundSi
         };
     };
     let wl_cs = cell.cs().area();
-    let wl_sw = cell.sw().area();
-    let wl_cas = cas.area();
-    let v_vt_cs = var_vt(&pelgrom, wl_cs);
-    let v_vt_sw = var_vt(&pelgrom, wl_sw);
-    let v_vt_cas = var_vt(&pelgrom, wl_cas);
+    cascoded_bound_sigmas_from_terms(
+        &DeviceTerms::new(&pelgrom, cell.vov_cs(), wl_cs),
+        &DeviceTerms::new(&pelgrom, vov_cas, cas.area()),
+        &DeviceTerms::new(&pelgrom, cell.vov_sw(), cell.sw().area()),
+        full_scale_variance(spec, &pelgrom, wl_cs, cell.vov_cs()),
+    )
+}
 
-    let (var_b_cs, s_cs) = vov_variation(&pelgrom, cell.vov_cs(), wl_cs, cell.vov_cs());
-    let (var_b_cas, s_cas) = vov_variation(&pelgrom, vov_cas, wl_cas, cell.vov_cs());
-    let (var_b_sw, s_sw) = vov_variation(&pelgrom, cell.vov_sw(), wl_sw, cell.vov_cs());
+/// The eq. (12) combination of per-device terms into the four cascoded
+/// bound sigmas — the one copy of the cascoded physics, shared by
+/// [`cascoded_bound_sigmas`] and the table-driven volume search in
+/// [`crate::cascode`], which is therefore bit-identical to the per-cell
+/// path by construction. `var_full_scale` is
+/// [`full_scale_variance`] of the CS device.
+pub fn cascoded_bound_sigmas_from_terms(
+    cs: &DeviceTerms,
+    cas: &DeviceTerms,
+    sw: &DeviceTerms,
+    var_full_scale: f64,
+) -> CascodeBoundSigmas {
+    let s_cs = cs.sens_vt_cs(cs.vov);
+    let s_cas = cas.sens_vt_cs(cs.vov);
+    let s_sw = sw.sens_vt_cs(cs.vov);
 
     // SW upper: V_DD − I_FS·R_L + V_T,SW — as in the simple cell.
-    let sigma_i_fs_rel = pelgrom.sigma_id_rel(wl_cs, cell.vov_cs())
-        / (spec.lsb_unit_count() as f64).sqrt();
-    let swing = spec.env.v_swing;
-    let var_sw_upper = (swing * sigma_i_fs_rel).powi(2)
-        + (swing * spec.tech.sigma_rl_rel).powi(2)
-        + v_vt_sw;
+    let var_sw_upper = var_full_scale + sw.var_vt;
 
     // SW lower: V_OD,CS + V_OD,CAS + V_OD,SW + V_T,SW.
     let sens = s_cs + s_cas + s_sw;
     let var_sw_lower =
-        var_b_cs + var_b_cas + var_b_sw + sens * sens * v_vt_cs + v_vt_sw;
+        cs.var_beta + cas.var_beta + sw.var_beta + sens * sens * cs.var_vt + sw.var_vt;
 
     // CAS lower: V_OD,CS + V_T,CAS + V_OD,CAS.
     let sens_cl = s_cs + s_cas;
-    let var_cas_lower = var_b_cs + var_b_cas + sens_cl * sens_cl * v_vt_cs + v_vt_cas;
+    let var_cas_lower = cs.var_beta + cas.var_beta + sens_cl * sens_cl * cs.var_vt + cas.var_vt;
 
     // CAS upper: V_B + V_T,CAS with V_B = V_gSW − V_T,SW − V_OD,SW
     // (the switch gate is externally set, hence noiseless).
-    let var_cas_upper =
-        v_vt_sw + var_b_sw + s_sw * s_sw * v_vt_cs + v_vt_cas;
+    let var_cas_upper = sw.var_vt + sw.var_beta + s_sw * s_sw * cs.var_vt + cas.var_vt;
 
     CascodeBoundSigmas {
         sw_upper: var_sw_upper.sqrt(),

@@ -6,12 +6,33 @@
 //! been plotted" (§3). This module computes exactly that limit surface —
 //! for each `(V_OD,SW, V_OD,CAS)` grid point, the largest admissible
 //! `V_OD,CS` under a chosen saturation condition — plus a volume-based
-//! comparison of conditions and a min-area optimiser for the cascoded cell.
+//! comparison of conditions and min-area / max-speed optimisers for the
+//! cascoded cell.
+//!
+//! Every path runs on per-axis tables. Each device of the cell depends on
+//! one overdrive only (CS on `V_OD,CS`, CAS on `V_OD,CAS`, SW on
+//! `V_OD,SW`), and eq. (12)'s bound variances are sums of per-device terms
+//! coupled only through the ratios `V_OD,CAS/V_OD,CS` and
+//! `V_OD,SW/V_OD,CS`. A search therefore sizes each device once per axis
+//! value ([`crate::bounds::DeviceTerms`]) and combines the terms per point
+//! with [`cascoded_bound_sigmas_from_terms`], the same function the
+//! per-cell [`crate::bounds::cascoded_bound_sigmas`] calls, so the
+//! optima are bit-identical to a per-point
+//! [`SaturationCondition::admits_cascoded`] scan by construction.
 
-use crate::saturation::SaturationCondition;
-use crate::sizing::total_analog_area_cascoded;
+use crate::bounds::{cascoded_bound_sigmas_from_terms, full_scale_variance, DeviceTerms};
+use crate::saturation::{CascodedMargin, SaturationCondition};
+use crate::sizing::{
+    sized_cs_with_unit, sized_sw_with_weight, total_analog_area_cascoded_from_geometry, CsSizing,
+};
 use crate::spec::DacSpec;
 use core::fmt;
+use ctsdac_circuit::cell::SizedCell;
+use ctsdac_circuit::poles::PoleModel;
+use ctsdac_obs as obs;
+use ctsdac_process::mosfet::Mosfet;
+use ctsdac_process::Pelgrom;
+use std::cell::OnceCell;
 
 /// One sample of the Fig. 4 limit surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,18 +118,40 @@ impl CascodeSpace {
     /// Largest admissible CS overdrive for one `(vov_sw, vov_cas)` pair,
     /// solved by bisection.
     pub fn max_vov_cs(&self, vov_sw: f64, vov_cas: f64) -> Option<f64> {
+        let margin = CascodedMargin::of(self.condition, &self.spec);
+        self.max_vov_cs_with(&margin, vov_sw, vov_cas)
+    }
+
+    /// [`Self::max_vov_cs`] with the margin prepared by the caller. The
+    /// switch and cascode stay fixed along the bisection, so their terms
+    /// are sized once (and only if the statistical margin asks for σ);
+    /// each step sizes just the CS device.
+    fn max_vov_cs_with(&self, margin: &CascodedMargin, vov_sw: f64, vov_cas: f64) -> Option<f64> {
         const VOV_MIN: f64 = 0.02;
-        if !self
-            .condition
-            .admits_cascoded(&self.spec, VOV_MIN, vov_cas, vov_sw)
-        {
+        let spec = &self.spec;
+        let v_out_min = spec.env.v_out_min();
+        let pelgrom = Pelgrom::new(&spec.tech.nmos);
+        let fixed = OnceCell::new();
+        let admits = |vov_cs: f64| {
+            margin.admits(v_out_min, vov_cs, vov_cas, vov_sw, || {
+                let (cas, sw) = fixed.get_or_init(|| {
+                    (
+                        MinLengthTerms::lsb(spec, &pelgrom, vov_cas).terms,
+                        MinLengthTerms::lsb(spec, &pelgrom, vov_sw).terms,
+                    )
+                });
+                let cs = CsTerms::lsb(spec, &pelgrom, &CsSizing::for_spec(spec, vov_cs));
+                cascoded_bound_sigmas_from_terms(&cs.terms, cas, sw, cs.var_full_scale).max()
+            })
+        };
+        if !admits(VOV_MIN) {
             return None;
         }
         let mut lo = VOV_MIN;
-        let mut hi = self.spec.env.v_out_min();
+        let mut hi = v_out_min;
         for _ in 0..60 {
             let mid = 0.5 * (lo + hi);
-            if self.condition.admits_cascoded(&self.spec, mid, vov_cas, vov_sw) {
+            if admits(mid) {
                 lo = mid;
             } else {
                 hi = mid;
@@ -122,7 +165,16 @@ impl CascodeSpace {
     /// evaluation; [`CascodeSpace::surface`] is their concatenation.
     /// Returns an empty row when `row` is out of range.
     pub fn surface_row(&self, row: usize) -> Vec<SurfacePoint> {
-        let axis = self.axis();
+        let margin = CascodedMargin::of(self.condition, &self.spec);
+        self.surface_row_on(&self.axis(), &margin, row)
+    }
+
+    fn surface_row_on(
+        &self,
+        axis: &[f64],
+        margin: &CascodedMargin,
+        row: usize,
+    ) -> Vec<SurfacePoint> {
         let Some(&vov_sw) = axis.get(row) else {
             return Vec::new();
         };
@@ -130,119 +182,245 @@ impl CascodeSpace {
             .map(|&vov_cas| SurfacePoint {
                 vov_sw,
                 vov_cas,
-                max_vov_cs: self.max_vov_cs(vov_sw, vov_cas),
+                max_vov_cs: self.max_vov_cs_with(margin, vov_sw, vov_cas),
             })
             .collect()
     }
 
     /// The full Fig. 4 limit surface over the `(vov_sw, vov_cas)` grid.
     pub fn surface(&self) -> Vec<SurfacePoint> {
-        (0..self.grid).flat_map(|row| self.surface_row(row)).collect()
+        let axis = self.axis();
+        let margin = CascodedMargin::of(self.condition, &self.spec);
+        (0..self.grid)
+            .flat_map(|row| self.surface_row_on(&axis, &margin, row))
+            .collect()
     }
 
     /// Integral of the limit surface — the admissible design-space *volume*
     /// in V³. The statistical condition recovers volume the fixed margin
     /// forfeits.
     pub fn admissible_volume(&self) -> f64 {
-        let axis = self.axis();
         let da = (self.vov_max - self.vov_min) / (self.grid - 1) as f64;
         self.surface()
             .iter()
             .map(|p| p.max_vov_cs.unwrap_or(0.0) * da * da)
             .sum::<f64>()
             .max(0.0)
-            - axis.len() as f64 * 0.0 // explicit: no offset correction
+    }
+
+    /// Every admissible grid point of the volume with its total analog
+    /// area, in `(cs, cas, sw)` scan order — the set both optimisers
+    /// choose from.
+    pub fn admissible_points(&self) -> Vec<CascodePoint> {
+        let Some(tables) = VolumeTables::new(self) else {
+            return Vec::new();
+        };
+        let mut points = Vec::new();
+        tables.scan(|i, j, k| points.push(tables.point(i, j, k, tables.area(i, j, k))));
+        points
     }
 
     /// Min-area cascoded design point over the admissible volume.
     pub fn min_area_point(&self) -> Option<CascodePoint> {
-        let axis = self.axis();
+        let _span = obs::span("core.cascode.search");
+        let tables = VolumeTables::new(self)?;
         let mut best: Option<CascodePoint> = None;
-        for &vov_cs in &axis {
-            for &vov_cas in &axis {
-                for &vov_sw in &axis {
-                    if vov_cs + vov_cas + vov_sw >= self.spec.env.v_out_min() {
-                        continue;
-                    }
-                    if !self
-                        .condition
-                        .admits_cascoded(&self.spec, vov_cs, vov_cas, vov_sw)
-                    {
-                        continue;
-                    }
-                    let area =
-                        total_analog_area_cascoded(&self.spec, vov_cs, vov_cas, vov_sw);
-                    if best.is_none_or(|b| area < b.total_area) {
-                        best = Some(CascodePoint {
-                            vov_cs,
-                            vov_cas,
-                            vov_sw,
-                            total_area: area,
-                        });
-                    }
-                }
+        tables.scan(|i, j, k| {
+            let area = tables.area(i, j, k);
+            if best.is_none_or(|b| area < b.total_area) {
+                best = Some(tables.point(i, j, k, area));
             }
-        }
+        });
         best
     }
 
     /// Max-speed cascoded design point: maximises the slower pole of
     /// eq. (13) for the unary cell over the admissible volume.
     pub fn max_speed_point(&self) -> Option<CascodePoint> {
-        use ctsdac_circuit::poles::PoleModel;
-        let axis = self.axis();
-        let model = PoleModel::new(self.spec.cells_at_output());
+        let _span = obs::span("core.cascode.search");
+        let tables = VolumeTables::new(self)?;
+        let spec = &self.spec;
+        let model = PoleModel::new(spec.cells_at_output());
+        // The unary cell's devices, like the LSB cell's, depend on one
+        // axis each.
+        let weight = spec.unary_weight();
+        let i_unary = spec.i_lsb() * weight as f64;
+        let cs: Vec<Mosfet> = tables
+            .cs
+            .iter()
+            .map(|t| sized_cs_with_unit(spec, &t.unit, weight))
+            .collect();
+        let min_length: Vec<Mosfet> = tables
+            .axis
+            .iter()
+            .map(|&v| sized_sw_with_weight(spec, v, weight))
+            .collect();
+        let axis = &tables.axis;
         let mut best: Option<(CascodePoint, f64)> = None;
-        for &vov_cs in &axis {
-            for &vov_cas in &axis {
-                for &vov_sw in &axis {
-                    if vov_cs + vov_cas + vov_sw >= self.spec.env.v_out_min() {
-                        continue;
-                    }
-                    if !self
-                        .condition
-                        .admits_cascoded(&self.spec, vov_cs, vov_cas, vov_sw)
-                    {
-                        continue;
-                    }
-                    let cell = crate::sizing::build_cascoded_cell(
-                        &self.spec,
-                        vov_cs,
-                        vov_cas,
-                        vov_sw,
-                        self.spec.unary_weight(),
-                    );
-                    // A pole-model failure on one grid point must not sink
-                    // the whole search: the point is simply skipped.
-                    let Ok(poles) = model.poles(&cell, &self.spec.env) else {
-                        continue;
-                    };
-                    let f = poles.dominant_hz();
-                    if !f.is_finite() {
-                        continue;
-                    }
-                    if best.as_ref().is_none_or(|&(_, bf)| f > bf) {
-                        best = Some((
-                            CascodePoint {
-                                vov_cs,
-                                vov_cas,
-                                vov_sw,
-                                total_area: total_analog_area_cascoded(
-                                    &self.spec, vov_cs, vov_cas, vov_sw,
-                                ),
-                            },
-                            f,
-                        ));
-                    }
-                }
+        tables.scan(|i, j, k| {
+            let cell = SizedCell::cascoded_from_devices(
+                &spec.tech,
+                i_unary,
+                cs[i],
+                min_length[j],
+                min_length[k],
+                axis[i],
+                axis[j],
+                axis[k],
+            );
+            // A pole-model failure on one grid point must not sink the
+            // whole search: the point is simply skipped.
+            let Ok(poles) = model.poles(&cell, &spec.env) else {
+                return;
+            };
+            let f = poles.dominant_hz();
+            if !f.is_finite() {
+                return;
             }
-        }
+            if best.as_ref().is_none_or(|&(_, bf)| f > bf) {
+                best = Some((tables.point(i, j, k, tables.area(i, j, k)), f));
+            }
+        });
         best.map(|(p, _)| p)
     }
 
     /// The spec this explorer is bound to.
     pub fn spec(&self) -> &DacSpec {
         &self.spec
+    }
+}
+
+/// The CS device of the weight-1 LSB cell at one `V_OD,CS` axis value.
+#[derive(Debug, Clone, Copy)]
+struct CsTerms {
+    unit: CsSizing,
+    terms: DeviceTerms,
+    var_full_scale: f64,
+    wl: f64,
+}
+
+impl CsTerms {
+    fn lsb(spec: &DacSpec, pelgrom: &Pelgrom, unit: &CsSizing) -> Self {
+        let wl = sized_cs_with_unit(spec, unit, 1).area();
+        Self {
+            unit: *unit,
+            terms: DeviceTerms::new(pelgrom, unit.vov(), wl),
+            var_full_scale: full_scale_variance(spec, pelgrom, wl, unit.vov()),
+            wl,
+        }
+    }
+}
+
+/// A minimum-length device of the weight-1 LSB cell at one axis value.
+/// The cascode and the switch are sized by the same rule, so one table
+/// serves both the `V_OD,CAS` and the `V_OD,SW` axis.
+#[derive(Debug, Clone, Copy)]
+struct MinLengthTerms {
+    terms: DeviceTerms,
+    wl: f64,
+}
+
+impl MinLengthTerms {
+    fn lsb(spec: &DacSpec, pelgrom: &Pelgrom, vov: f64) -> Self {
+        let wl = sized_sw_with_weight(spec, vov, 1).area();
+        Self {
+            terms: DeviceTerms::new(pelgrom, vov, wl),
+            wl,
+        }
+    }
+}
+
+/// Per-axis tables of the eq. (11) volume search, built once per search
+/// in O(grid) memory.
+struct VolumeTables {
+    axis: Vec<f64>,
+    cs: Vec<CsTerms>,
+    min_length: Vec<MinLengthTerms>,
+    margin: CascodedMargin,
+    v_out_min: f64,
+    spec: DacSpec,
+}
+
+impl VolumeTables {
+    /// Sizes every axis value once. `None` when the axis does not rise
+    /// from `vov_min` (the headroom `V_out,min` is at or below it): no
+    /// point with positive overdrives fits under the headroom then.
+    fn new(space: &CascodeSpace) -> Option<Self> {
+        let rises = space.vov_max > space.vov_min;
+        if !rises {
+            return None;
+        }
+        let spec = space.spec;
+        let pelgrom = Pelgrom::new(&spec.tech.nmos);
+        let axis = space.axis();
+        Some(Self {
+            cs: axis
+                .iter()
+                .map(|&v| CsTerms::lsb(&spec, &pelgrom, &CsSizing::for_spec(&spec, v)))
+                .collect(),
+            min_length: axis
+                .iter()
+                .map(|&v| MinLengthTerms::lsb(&spec, &pelgrom, v))
+                .collect(),
+            axis,
+            margin: CascodedMargin::of(space.condition, &spec),
+            v_out_min: spec.env.v_out_min(),
+            spec,
+        })
+    }
+
+    /// Calls `admitted(cs, cas, sw)` on every admissible grid index triple,
+    /// in `(cs, cas, sw)` order, and counts the eq. (11) evaluations once.
+    ///
+    /// The axis rises, and `(a + b) + c` rises with `c`, so the first
+    /// switch overdrive that fails the headroom ends its row.
+    fn scan(&self, mut admitted: impl FnMut(usize, usize, usize)) {
+        let mut evaluated = 0u64;
+        for (i, cs) in self.cs.iter().enumerate() {
+            for (j, cas) in self.min_length.iter().enumerate() {
+                for (k, sw) in self.min_length.iter().enumerate() {
+                    if cs.terms.vov + cas.terms.vov + sw.terms.vov >= self.v_out_min {
+                        break;
+                    }
+                    evaluated += 1;
+                    if self.admits(cs, cas, sw) {
+                        admitted(i, j, k);
+                    }
+                }
+            }
+        }
+        obs::count(obs::Counter::CascodePoints, evaluated);
+    }
+
+    /// Eq. (11) at one grid point, from its three devices' table entries.
+    #[inline]
+    fn admits(&self, cs: &CsTerms, cas: &MinLengthTerms, sw: &MinLengthTerms) -> bool {
+        let sigma = || {
+            cascoded_bound_sigmas_from_terms(&cs.terms, &cas.terms, &sw.terms, cs.var_full_scale)
+                .max()
+        };
+        let (vov_cs, vov_cas, vov_sw) = (cs.terms.vov, cas.terms.vov, sw.terms.vov);
+        self.margin
+            .admits(self.v_out_min, vov_cs, vov_cas, vov_sw, sigma)
+    }
+
+    /// Total analog gate area at one grid index triple.
+    fn area(&self, i: usize, j: usize, k: usize) -> f64 {
+        total_analog_area_cascoded_from_geometry(
+            &self.spec,
+            self.cs[i].wl,
+            self.min_length[j].wl,
+            self.min_length[k].wl,
+        )
+    }
+
+    fn point(&self, i: usize, j: usize, k: usize, total_area: f64) -> CascodePoint {
+        CascodePoint {
+            vov_cs: self.axis[i],
+            vov_cas: self.axis[j],
+            vov_sw: self.axis[k],
+            total_area,
+        }
     }
 }
 

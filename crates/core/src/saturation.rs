@@ -185,19 +185,8 @@ impl SaturationCondition {
         vov_sw: f64,
         combine: SigmaCombine,
     ) -> f64 {
-        match *self {
-            SaturationCondition::Exact => 0.0,
-            SaturationCondition::FixedMargin(m) => m,
-            SaturationCondition::Statistical => {
-                let cell = build_cascoded_cell(spec, vov_cs, vov_cas, vov_sw, 1);
-                let sigmas = cascoded_bound_sigmas(spec, &cell);
-                let sigma = match combine {
-                    SigmaCombine::Max => sigmas.max(),
-                    SigmaCombine::Rss => sigmas.rss(),
-                };
-                3.0 * Self::s_factor(spec) * sigma
-            }
-        }
+        CascodedMargin::of(*self, spec)
+            .margin(|| lsb_cascoded_sigma(spec, vov_cs, vov_cas, vov_sw, combine))
     }
 
     /// True if the simple-topology overdrive pair satisfies the condition:
@@ -214,8 +203,13 @@ impl SaturationCondition {
         vov_cas: f64,
         vov_sw: f64,
     ) -> bool {
-        vov_cs + vov_cas + vov_sw
-            <= spec.env.v_out_min() - self.margin_cascoded(spec, vov_cs, vov_cas, vov_sw)
+        CascodedMargin::of(*self, spec).admits(
+            spec.env.v_out_min(),
+            vov_cs,
+            vov_cas,
+            vov_sw,
+            || lsb_cascoded_sigma(spec, vov_cs, vov_cas, vov_sw, SigmaCombine::Max),
+        )
     }
 
     /// Maximum admissible `V_OD,SW` at fixed `V_OD,CS` (the constraint curve
@@ -239,6 +233,77 @@ impl SaturationCondition {
             }
         }
         Some(lo)
+    }
+}
+
+/// The combined bound σ of the weight-1 cascoded LSB cell at one point.
+fn lsb_cascoded_sigma(
+    spec: &DacSpec,
+    vov_cs: f64,
+    vov_cas: f64,
+    vov_sw: f64,
+    combine: SigmaCombine,
+) -> f64 {
+    let cell = build_cascoded_cell(spec, vov_cs, vov_cas, vov_sw, 1);
+    let sigmas = cascoded_bound_sigmas(spec, &cell);
+    match combine {
+        SigmaCombine::Max => sigmas.max(),
+        SigmaCombine::Rss => sigmas.rss(),
+    }
+}
+
+/// Eq. (11)'s margin with its per-spec factor evaluated once: a constant
+/// for [`SaturationCondition::Exact`] and
+/// [`SaturationCondition::FixedMargin`], `3·S·σ` for
+/// [`SaturationCondition::Statistical`]. The per-point API
+/// ([`SaturationCondition::admits_cascoded`]) and the table-driven volume
+/// search in [`crate::cascode`] both test admissibility through
+/// [`Self::admits`], so the two agree bit for bit whenever they are handed
+/// the same σ.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum CascodedMargin {
+    /// A margin that does not depend on the design point (V).
+    Constant(f64),
+    /// `3·S`, the factor of the statistical margin `3·S·σ_max`.
+    Statistical {
+        /// Three times the yield deviate of [`SaturationCondition::s_factor`].
+        three_s: f64,
+    },
+}
+
+impl CascodedMargin {
+    /// Prepares the margin of `condition` for `spec`.
+    pub(crate) fn of(condition: SaturationCondition, spec: &DacSpec) -> Self {
+        match condition {
+            SaturationCondition::Exact => CascodedMargin::Constant(0.0),
+            SaturationCondition::FixedMargin(m) => CascodedMargin::Constant(m),
+            SaturationCondition::Statistical => CascodedMargin::Statistical {
+                three_s: 3.0 * SaturationCondition::s_factor(spec),
+            },
+        }
+    }
+
+    /// The margin in V. `sigma` yields the combined bound σ of the LSB
+    /// cell and is called only by the statistical condition.
+    #[inline]
+    pub(crate) fn margin(&self, sigma: impl FnOnce() -> f64) -> f64 {
+        match *self {
+            CascodedMargin::Constant(m) => m,
+            CascodedMargin::Statistical { three_s } => three_s * sigma(),
+        }
+    }
+
+    /// Eq. (11): `V_OD,CS + V_OD,CAS + V_OD,SW ≤ V_out,min − margin`.
+    #[inline]
+    pub(crate) fn admits(
+        &self,
+        v_out_min: f64,
+        vov_cs: f64,
+        vov_cas: f64,
+        vov_sw: f64,
+        sigma: impl FnOnce() -> f64,
+    ) -> bool {
+        vov_cs + vov_cas + vov_sw <= v_out_min - self.margin(sigma)
     }
 }
 

@@ -254,6 +254,20 @@ pub fn total_analog_area_from_geometry(spec: &DacSpec, wl_cs: f64, wl_sw: f64) -
     units * (wl_cs + 2.0 * wl_sw + 0.0)
 }
 
+/// [`total_analog_area_cascoded`] from the weight-1 LSB device gate areas
+/// alone — the table-driven volume search's variant. The sum replicates
+/// [`SizedCell::total_area`] on a cascoded cell term by term, so it is
+/// bit-identical to the cell-based form.
+pub fn total_analog_area_cascoded_from_geometry(
+    spec: &DacSpec,
+    wl_cs: f64,
+    wl_cas: f64,
+    wl_sw: f64,
+) -> f64 {
+    let units = (spec.lsb_unit_count() - 1) as f64;
+    units * (wl_cs + 2.0 * wl_sw + wl_cas)
+}
+
 /// Builds a cascoded-topology cell of the given LSB `weight`.
 ///
 /// # Panics
@@ -395,6 +409,25 @@ mod tests {
                 total_analog_area_from_lsb(&spec, &lsb).to_bits(),
                 total_analog_area_from_geometry(&spec, lsb.cs().area(), lsb.sw().area())
                     .to_bits(),
+            );
+        }
+    }
+
+    #[test]
+    fn cascoded_geometry_area_is_bit_identical_to_cell_area() {
+        let spec = DacSpec::paper_12bit();
+        for (cs, cas, sw) in [(0.3, 0.2, 0.4), (0.5, 0.45, 0.6), (1.1, 0.1, 0.9)] {
+            let lsb = build_cascoded_cell(&spec, cs, cas, sw, 1);
+            let wl_cas = lsb.cas().map_or(f64::NAN, |c| c.area());
+            assert_eq!(
+                total_analog_area_cascoded(&spec, cs, cas, sw).to_bits(),
+                total_analog_area_cascoded_from_geometry(
+                    &spec,
+                    lsb.cs().area(),
+                    wl_cas,
+                    lsb.sw().area()
+                )
+                .to_bits(),
             );
         }
     }

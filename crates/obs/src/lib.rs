@@ -130,6 +130,9 @@ pub enum Counter {
     SettlingSolves,
     /// Design-space grid points evaluated (feasible or not).
     SweepPoints,
+    /// Eq. (11) evaluations of the cascoded volume search: grid points
+    /// under the overdrive headroom, admissible or not.
+    CascodePoints,
     /// Monte-Carlo trials executed (saturation yield, either driver).
     McTrials,
     /// Yield-engine trials classified (screened or exact).
@@ -182,7 +185,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot order.
-    pub const ALL: [Counter; 31] = [
+    pub const ALL: [Counter; 32] = [
         Counter::DcSolves,
         Counter::DcIterations,
         Counter::DcWarmHits,
@@ -190,6 +193,7 @@ impl Counter {
         Counter::DcFailures,
         Counter::SettlingSolves,
         Counter::SweepPoints,
+        Counter::CascodePoints,
         Counter::McTrials,
         Counter::YieldTrials,
         Counter::YieldScreened,
@@ -226,6 +230,7 @@ impl Counter {
             Counter::DcFailures => "circuit.dc.failures",
             Counter::SettlingSolves => "circuit.settling.solves",
             Counter::SweepPoints => "core.sweep.points",
+            Counter::CascodePoints => "core.cascode.points",
             Counter::McTrials => "mc.trials",
             Counter::YieldTrials => "dac.yield.trials",
             Counter::YieldScreened => "dac.yield.screened",

@@ -8,7 +8,12 @@
 #    dedicated lane-differential stage then re-runs the lane-equivalence
 #    suite on its own line: the SoA kernels must match their scalar
 #    oracles bitwise at W = 4 and 8, every remainder lane count, and
-#    --jobs 1 vs 8.
+#    --jobs 1 vs 8. A cascode-differential stage does the same for the
+#    table-driven cascoded volume search: its admissibility mask and both
+#    optima must match a brute-force per-point eq. (11) scan bitwise.
+#    A perfbench stage runs the benchmark package's own tests (seeded
+#    inputs, percentile refusals, metric tables matching BENCHMARK.json,
+#    layer isolation of each workload).
 # 3. Panic-freedom gate: the solver/exploration/statistics/runtime/DAC/
 #    layout/service layers report failures as typed errors. Any
 #    `.unwrap()`, `.expect(` or `panic!` re-introduced in non-test,
@@ -40,7 +45,8 @@
 # 8. Observability smoke: dacsizer under fault injection with
 #    `--trace=json` must exit cleanly and emit a well-formed metrics
 #    snapshot; the snapshot's deterministic section must be byte-identical
-#    between --jobs 1 and --jobs 8 at the same seed.
+#    between --jobs 1 and --jobs 8 at the same seed, for a simple-cell
+#    and for a cascoded run.
 # 9. Service smoke: a real `dacd` process with chaos armed must serve a
 #    computed sizing request, re-serve an identical repeat bit-for-bit
 #    from the cache, turn a too-short deadline into a typed 504 via
@@ -78,6 +84,19 @@ echo "==> lane-differential gate (SoA kernels vs scalar oracles, W=4 and W=8)"
 # counters. It runs inside the workspace tests too; this explicit stage
 # keeps the certification visible and failing on its own line.
 cargo test --offline -q --test lane_equivalence
+
+echo "==> cascode-differential gate (table-driven eq. (11) search vs brute force)"
+# The cascoded volume search sizes each device once per axis value and
+# combines per-device variance terms per grid point. This suite holds it
+# to the per-point admits_cascoded scan it replaced: the same admissible
+# points with bit-equal areas under the exact, fixed-margin and
+# statistical conditions, bit-equal min-area and max-speed optima across
+# 8-14 bits, yields 0.9-0.9999 and grids 2-64, and the same cascoded
+# report from run_flow and run_flow_supervised.
+cargo test --offline -q --test cascode_equivalence
+
+echo "==> perfbench tests (benchmark package, offline)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> quarantine gate (no #[ignore]d tests)"
 ignored=$(grep -rn '#\[ignore' --include='*.rs' crates src tests 2>/dev/null | wc -l | tr -d ' ')
@@ -235,6 +254,24 @@ if ! cmp -s "$det1.det" "$det8.det"; then
 fi
 if ! grep -q '"mc.trials"' "$det1.det"; then
     echo "FAIL: deterministic section lost its work counters"
+    exit 1
+fi
+# The cascoded volume search runs inline whatever --jobs says; its
+# eq. (11) evaluation count must be jobs-invariant too.
+cargo run --offline -q -p ctsdac --bin dacsizer -- \
+    --topology cascoded --grid 8 --jobs 1 --seed 7 --metrics-out "$det1" >/dev/null
+cargo run --offline -q -p ctsdac --bin dacsizer -- \
+    --topology cascoded --grid 8 --jobs 8 --seed 7 --metrics-out "$det8" >/dev/null
+sed -n '/"deterministic": {/,/^  },$/p' "$det1" > "$det1.det"
+sed -n '/"deterministic": {/,/^  },$/p' "$det8" > "$det8.det"
+if ! cmp -s "$det1.det" "$det8.det"; then
+    echo "FAIL: cascoded deterministic metrics differ between --jobs 1 and --jobs 8:"
+    diff "$det1.det" "$det8.det" || true
+    exit 1
+fi
+if grep -q '"core.cascode.points": 0,' "$det1.det" \
+    || ! grep -q '"core.cascode.points"' "$det1.det"; then
+    echo "FAIL: cascoded run did not count its eq. (11) evaluations"
     exit 1
 fi
 rm -f "$det1" "$det8" "$det1.det" "$det8.det"
