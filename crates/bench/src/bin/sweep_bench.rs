@@ -7,18 +7,16 @@
 //! Times three evaluation strategies on the same overdrive plane and writes
 //! the measurements as `BENCH_sweep.json`:
 //!
-//! * `reference` — the pre-overhaul cold-start kernel: central-difference
-//!   Jacobians, no warm starts, fixed-depth bisection settling, every
+//! * `reference` — the pre-overhaul kernel and the sweep's oracle:
+//!   central-difference Jacobians, fixed-depth bisection settling, every
 //!   spec-level invariant recomputed per point ([`SweepMode::Reference`]);
-//! * `warm` — the scalar fast kernel: analytic Jacobians, row-chained warm
-//!   starts, memoized per-sweep/per-row invariants ([`SweepMode::Warm`]);
-//! * `lanes` — the production kernel: the same row evaluation restructured
-//!   into eight-wide structure-of-arrays lanes with batched DC solves
-//!   ([`SweepMode::Lanes`]);
+//! * `lanes` — the production kernel: analytic Jacobians, CS devices sized
+//!   per row and switch devices per sweep, and each row's DC solves batched
+//!   through eight-wide structure-of-arrays lanes ([`SweepMode::Lanes`]);
 //! * `adaptive` — the coarse-to-fine sweep that densifies only near the
 //!   feasibility boundary and the objective optimum.
 //!
-//! `--budget ITERS` turns the run into a regression gate: if the warm
+//! `--budget ITERS` turns the run into a regression gate: if the lane
 //! kernel's mean Newton iterations per DC solve exceed the budget, the JSON
 //! is still written but the process exits non-zero. The CI `bench-smoke`
 //! stage uses this with the budget stored in the checked-in
@@ -37,8 +35,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Default per-axis grid: the Fig. 4 experiment resolution.
-const DEFAULT_GRID: usize = 14;
+/// Default per-axis grid: large enough (4096 points) that every timed
+/// sweep lasts well above timer resolution.
+const DEFAULT_GRID: usize = 64;
 /// Default repetitions per timed strategy.
 const DEFAULT_REPS: u32 = 20;
 
@@ -84,14 +83,12 @@ fn dense_json(t: &DenseTiming) -> String {
     format!(
         "{{\n      \"wall_s\": {:.6e},\n      \"points\": {},\n      \
          \"points_per_sec\": {:.1},\n      \"dc_solves\": {},\n      \
-         \"iters_per_solve\": {:.3},\n      \"warm_hits\": {},\n      \
-         \"dc_failures\": {}\n    }}",
+         \"iters_per_solve\": {:.3},\n      \"dc_failures\": {}\n    }}",
         t.wall_s,
         t.points,
         t.points as f64 / t.wall_s,
         t.stats.dc_solves,
         t.stats.iterations_per_solve(),
-        t.stats.warm_hits,
         t.stats.dc_failures,
     )
 }
@@ -155,8 +152,7 @@ fn main() -> ExitCode {
     let base = DesignSpace::new(&spec, SaturationCondition::Statistical).with_grid(args.grid);
 
     let reference = time_dense(&base.clone().with_mode(SweepMode::Reference), args.reps);
-    let warm = time_dense(&base.clone().with_mode(SweepMode::Warm), args.reps);
-    let lanes = time_dense(&base.clone().with_mode(SweepMode::Lanes), args.reps);
+    let lanes = time_dense(&base, args.reps);
 
     // Adaptive: best-of-reps wall time on the MinArea refinement.
     let mut adaptive_wall = f64::INFINITY;
@@ -176,42 +172,39 @@ fn main() -> ExitCode {
     // a host frequency shift mid-run biases both sides alike and the
     // ratio isolates the atomic counter/histogram updates (timing one
     // arm's reps before the other's once produced a negative "overhead").
-    let obs_space = base.clone().with_mode(SweepMode::Lanes);
     let mut obs_disabled_wall = f64::INFINITY;
     let mut obs_enabled_wall = f64::INFINITY;
     obs::set_metrics(false);
     for _ in 0..args.reps {
         obs::set_metrics(false);
         let t0 = Instant::now();
-        let _ = obs_space.sweep_with_stats();
+        let _ = base.sweep_with_stats();
         obs_disabled_wall = obs_disabled_wall.min(t0.elapsed().as_secs_f64());
         obs::set_metrics(true);
         let t0 = Instant::now();
-        let _ = obs_space.sweep_with_stats();
+        let _ = base.sweep_with_stats();
         obs_enabled_wall = obs_enabled_wall.min(t0.elapsed().as_secs_f64());
     }
     obs::set_metrics(false);
     obs::reset();
     let obs_overhead = obs_enabled_wall / obs_disabled_wall - 1.0;
 
-    let speedup = (warm.points as f64 / warm.wall_s) / (reference.points as f64 / reference.wall_s);
     let speedup_lanes =
         (lanes.points as f64 / lanes.wall_s) / (reference.points as f64 / reference.wall_s);
-    let warm_iters = warm.stats.iterations_per_solve();
+    let lanes_iters = lanes.stats.iterations_per_solve();
     // The regression budget recorded in the JSON: the caller's --budget if
     // given, else a round number comfortably above today's reading.
     let recorded_budget = args
         .budget
-        .unwrap_or_else(|| (warm_iters * 2.0).ceil().max(8.0));
+        .unwrap_or_else(|| (lanes_iters * 2.0).ceil().max(8.0));
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"ctsdac-sweep-bench-v1\",");
+    let _ = writeln!(json, "  \"schema\": \"ctsdac-sweep-bench-v2\",");
     let _ = writeln!(json, "  \"grid\": {},", args.grid);
     let _ = writeln!(json, "  \"reps\": {},", args.reps);
     let _ = writeln!(json, "  \"dense\": {{");
     let _ = writeln!(json, "    \"reference\": {},", dense_json(&reference));
-    let _ = writeln!(json, "    \"warm\": {},", dense_json(&warm));
     let _ = writeln!(json, "    \"lanes\": {}", dense_json(&lanes));
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"adaptive\": {{");
@@ -239,7 +232,6 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "    \"enabled_wall_s\": {obs_enabled_wall:.6e},");
     let _ = writeln!(json, "    \"relative_overhead\": {:.4}", obs_overhead);
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"speedup_warm_over_reference\": {:.3},", speedup);
     let _ = writeln!(
         json,
         "  \"speedup_lanes_over_reference\": {:.3},",
@@ -280,19 +272,11 @@ fn main() -> ExitCode {
         reference.stats.iterations_per_solve(),
     );
     println!(
-        "dense warm     : {} points in {:.3} ms -> {:.0} points/sec ({:.1} iters/solve, {} warm hits)",
-        warm.points,
-        warm.wall_s * 1e3,
-        warm.points as f64 / warm.wall_s,
-        warm_iters,
-        warm.stats.warm_hits,
-    );
-    println!(
         "dense lanes    : {} points in {:.3} ms -> {:.0} points/sec ({:.1} iters/solve)",
         lanes.points,
         lanes.wall_s * 1e3,
         lanes.points as f64 / lanes.wall_s,
-        lanes.stats.iterations_per_solve(),
+        lanes_iters,
     );
     println!(
         "adaptive       : {} of {} lattice points in {:.3} ms over {} levels",
@@ -301,7 +285,6 @@ fn main() -> ExitCode {
         adaptive_wall * 1e3,
         sweep.levels,
     );
-    println!("speedup warm/reference : {speedup:.2}x");
     println!("speedup lanes/reference: {speedup_lanes:.2}x");
     println!(
         "obs overhead (metrics on vs off): {:+.2}%",
@@ -310,14 +293,6 @@ fn main() -> ExitCode {
     println!("wrote {}", out.display());
 
     if let Some(budget) = args.budget {
-        if warm_iters > budget {
-            eprintln!(
-                "error: warm kernel spends {warm_iters:.2} Newton iterations per solve, \
-                 over the budget of {budget:.2}"
-            );
-            return ExitCode::from(1);
-        }
-        let lanes_iters = lanes.stats.iterations_per_solve();
         if lanes_iters > budget {
             eprintln!(
                 "error: lane kernel spends {lanes_iters:.2} Newton iterations per solve, \

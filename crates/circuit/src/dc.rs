@@ -32,7 +32,7 @@
 //! immediately and is reported as [`SolveDcError::NonFiniteResidual`]
 //! instead of iterating on garbage.
 //!
-//! # Jacobians and warm starts
+//! # Jacobians and the fixed-point polish
 //!
 //! The Newton stages use region-dispatched *analytic* Jacobians
 //! ([`device_current_and_partials`] mirrors the square-law model's piecewise
@@ -40,13 +40,13 @@
 //! as [`central_difference_jacobian`] for the reference solvers
 //! ([`solve_simple_reference`]) and the cross-check tests.
 //!
-//! [`solve_simple_warm`] / [`solve_cascoded_warm`] accept a node-voltage
-//! hint (typically the solution of a neighbouring design point) and try a
-//! single undamped Newton stage from it. To keep warm-started results
-//! bit-identical to the cold path, *every* accepted solution — warm or
-//! cold — is polished to the bitwise fixed point of the undamped
-//! analytic-Newton map ([`polish`]); a warm start that fails to converge or
-//! settle falls back deterministically to the full cold ladder.
+//! Every solve starts cold. The analytic path seeds the ladder with a
+//! branch-free saturation pre-solve, and every accepted analytic solution
+//! is polished to the bitwise fixed point of the undamped analytic-Newton
+//! map ([`polish`]). The reported answer therefore does not depend on the
+//! start or on the stage that converged, which is what lets the lane-wide
+//! kernel ([`solve_simple_lanes`]) reorder the work and still return the
+//! scalar [`solve_simple`] bits.
 
 use crate::cell::{CellEnvironment, CellTopology, SizedCell};
 use ctsdac_obs as obs;
@@ -57,8 +57,6 @@ use core::fmt;
 /// solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStage {
-    /// Undamped Newton iteration seeded from a caller-provided hint.
-    WarmStart,
     /// Undamped Newton iteration.
     FullNewton,
     /// Damped Newton with step-clamped continuation.
@@ -70,7 +68,6 @@ pub enum SolveStage {
 impl fmt::Display for SolveStage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveStage::WarmStart => write!(f, "warm-started Newton"),
             SolveStage::FullNewton => write!(f, "full Newton"),
             SolveStage::DampedNewton => write!(f, "damped Newton"),
             SolveStage::Bisection => write!(f, "bounded bisection"),
@@ -450,11 +447,11 @@ fn lex_bits_below<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
 /// Polishes an already-converged iterate to the *bitwise* fixed point of
 /// the undamped analytic-Newton map `x ↦ clamp(x − J(x)⁻¹f(x), [0, vdd])`.
 ///
-/// This is the determinism anchor of the warm-start scheme: a converged
-/// iterate obtained from *any* starting point (cold ladder, warm hint,
-/// bisection) lies in the quadratic-convergence basin of the root, where
-/// the Newton map contracts every iterate onto the same bit pattern within
-/// a couple of steps. Accepting only settled fixed points therefore makes
+/// This is the determinism anchor of the solver: a converged iterate
+/// obtained from *any* starting point (pre-solve start, legacy start, any
+/// ladder rung, bisection) lies in the quadratic-convergence basin of the
+/// root, where the Newton map contracts every iterate onto the same bit
+/// pattern within a couple of steps. Accepting only settled fixed points therefore makes
 /// the reported solution independent of the path that found it.
 ///
 /// Returns `(x, polish_iterations, residual_at_x)` when the trajectory
@@ -463,8 +460,7 @@ fn lex_bits_below<const N: usize>(a: &[f64; N], b: &[f64; N]) -> bool {
 /// smaller bit pattern — both rules depend only on the cycle, not the
 /// entry path). Returns `None` when the trajectory fails to settle within
 /// [`POLISH_MAX`] steps or a residual goes non-finite; the caller then
-/// keeps its pre-polish answer (cold path) or falls back to the full cold
-/// ladder (warm path), so both paths degrade identically.
+/// keeps its pre-polish answer.
 fn polish<const N: usize, FJ>(
     fj: &FJ,
     mut x: [f64; N],
@@ -655,15 +651,11 @@ pub enum JacobianMode {
     CentralDifference,
 }
 
-/// Iteration budget for the warm-start Newton attempt before falling back
-/// to the cold ladder.
-const WARM_MAX_ITER: usize = 20;
-
 /// Feed the observability registry from a finished solve: one solve
-/// event, the iteration count/histogram, and the outcome class
-/// (warm-start hit, ladder escalation past full Newton, or failure).
-/// All counters are deterministic — they depend only on the cell,
-/// environment and hint, never on scheduling.
+/// event, the iteration count/histogram, and the outcome class (ladder
+/// escalation past full Newton, or failure). All counters are
+/// deterministic — they depend only on the cell and environment, never on
+/// scheduling.
 fn observe_dc(
     result: Result<OperatingPoint, SolveDcError>,
 ) -> Result<OperatingPoint, SolveDcError> {
@@ -672,12 +664,8 @@ fn observe_dc(
         Ok(op) => {
             obs::count(obs::Counter::DcIterations, op.iterations as u64);
             obs::record(obs::HistogramId::DcIterationsPerSolve, op.iterations as u64);
-            match op.stage {
-                SolveStage::WarmStart => obs::incr(obs::Counter::DcWarmHits),
-                SolveStage::FullNewton => {}
-                SolveStage::DampedNewton | SolveStage::Bisection => {
-                    obs::incr(obs::Counter::DcEscalations)
-                }
+            if op.stage != SolveStage::FullNewton {
+                obs::incr(obs::Counter::DcEscalations);
             }
         }
         Err(_) => obs::incr(obs::Counter::DcFailures),
@@ -870,12 +858,11 @@ fn legacy_cold_start(cell: &SizedCell, env: &CellEnvironment, v_gate_sw: f64) ->
 }
 
 /// Shared implementation of the simple-cell solve; see [`solve_simple`] /
-/// [`solve_simple_warm`] / [`solve_simple_reference`].
+/// [`solve_simple_reference`].
 fn solve_simple_impl(
     cell: &SizedCell,
     env: &CellEnvironment,
     v_gate_sw: f64,
-    hint: Option<[f64; 2]>,
     mode: JacobianMode,
 ) -> Result<OperatingPoint, SolveDcError> {
     if cell.topology() != CellTopology::Simple {
@@ -898,29 +885,6 @@ fn solve_simple_impl(
         JacobianMode::Analytic => Some(&fused),
         JacobianMode::CentralDifference => None,
     };
-
-    let assemble = |stage: SolveStage, x: [f64; 2], iterations: usize, residual: f64| {
-        assemble_simple_op(cs, sw, env, v_gate_cs, v_gate_sw, stage, x, iterations, residual)
-    };
-
-    // Warm attempt: one undamped Newton stage from the hint, then polish to
-    // the shared fixed point. Any failure (non-finite hint, stall, polish
-    // not settling under tolerance) falls through to the cold ladder, so a
-    // warm call can never produce an answer the cold path would not.
-    if let (Some(h), Some(fj_ref)) = (hint, fj) {
-        if h.iter().all(|v| v.is_finite()) {
-            let h = [h[0].clamp(0.0, env.vdd), h[1].clamp(0.0, env.vdd)];
-            if let StageResult::Converged { x, iterations, rj, .. } =
-                newton_stage(&residuals, fj, h, env.vdd, tol, 1.0, 1e3, WARM_MAX_ITER)
-            {
-                if let Some((xp, extra, res)) = polish(fj_ref, x, env.vdd, rj) {
-                    if res < tol {
-                        return Ok(assemble(SolveStage::WarmStart, xp, iterations + extra, res));
-                    }
-                }
-            }
-        }
-    }
 
     // The analytic path sharpens the legacy closed-form start with the
     // branch-free saturation pre-solve; the reference path keeps the
@@ -954,7 +918,7 @@ fn solve_simple_impl(
 
     let (stage, x, iterations, residual) =
         run_ladder(&residuals, fj, x0, env.vdd, tol, &mut bisect)?;
-    Ok(assemble(stage, x, iterations, residual))
+    Ok(assemble_simple_op(cs, sw, env, v_gate_cs, v_gate_sw, stage, x, iterations, residual))
 }
 
 /// Solves the DC operating point of the simple cell with the switch gate at
@@ -973,28 +937,7 @@ pub fn solve_simple(
     env: &CellEnvironment,
     v_gate_sw: f64,
 ) -> Result<OperatingPoint, SolveDcError> {
-    observe_dc(solve_simple_impl(cell, env, v_gate_sw, None, JacobianMode::Analytic))
-}
-
-/// [`solve_simple`] seeded with a node-voltage hint `[v_a, v_out]`
-/// (typically the solution of an adjacent design point).
-///
-/// The result is bit-identical to the cold [`solve_simple`] answer: both
-/// paths polish converged iterates to the fixed point of the same Newton
-/// map, and a warm attempt that fails to converge or settle falls back to
-/// the full cold ladder. Only the `stage`/`iterations` diagnostics reveal
-/// which path ran.
-///
-/// # Errors
-///
-/// Same taxonomy as [`solve_simple`].
-pub fn solve_simple_warm(
-    cell: &SizedCell,
-    env: &CellEnvironment,
-    v_gate_sw: f64,
-    hint: Option<[f64; 2]>,
-) -> Result<OperatingPoint, SolveDcError> {
-    observe_dc(solve_simple_impl(cell, env, v_gate_sw, hint, JacobianMode::Analytic))
+    observe_dc(solve_simple_impl(cell, env, v_gate_sw, JacobianMode::Analytic))
 }
 
 /// [`solve_simple`] with the pre-optimization central-difference Jacobian
@@ -1009,7 +952,7 @@ pub fn solve_simple_reference(
     env: &CellEnvironment,
     v_gate_sw: f64,
 ) -> Result<OperatingPoint, SolveDcError> {
-    observe_dc(solve_simple_impl(cell, env, v_gate_sw, None, JacobianMode::CentralDifference))
+    observe_dc(solve_simple_impl(cell, env, v_gate_sw, JacobianMode::CentralDifference))
 }
 
 /// Stage-1 outcome of one lane of the lane-wide Newton kernel.
@@ -1293,7 +1236,7 @@ fn solve_simple_lane_group<const W: usize>(
                     ))
                 }
                 LaneOutcome::Fallback => {
-                    solve_simple_impl(&cells[l], env, v_gates[l], None, JacobianMode::Analytic)
+                    solve_simple_impl(&cells[l], env, v_gates[l], JacobianMode::Analytic)
                 }
             }
         };
@@ -1317,25 +1260,7 @@ pub fn solve_cascoded(
     v_gate_cas: f64,
     v_gate_sw: f64,
 ) -> Result<OperatingPoint, SolveDcError> {
-    observe_dc(solve_cascoded_impl(cell, env, v_gate_cas, v_gate_sw, None))
-}
-
-/// [`solve_cascoded`] seeded with a node-voltage hint `[v_a, v_b, v_out]`.
-///
-/// Same bit-identity contract as [`solve_simple_warm`]: warm and cold
-/// answers agree bitwise, with deterministic fallback to the cold ladder.
-///
-/// # Errors
-///
-/// Same taxonomy as [`solve_cascoded`].
-pub fn solve_cascoded_warm(
-    cell: &SizedCell,
-    env: &CellEnvironment,
-    v_gate_cas: f64,
-    v_gate_sw: f64,
-    hint: Option<[f64; 3]>,
-) -> Result<OperatingPoint, SolveDcError> {
-    observe_dc(solve_cascoded_impl(cell, env, v_gate_cas, v_gate_sw, hint))
+    observe_dc(solve_cascoded_impl(cell, env, v_gate_cas, v_gate_sw))
 }
 
 fn solve_cascoded_impl(
@@ -1343,7 +1268,6 @@ fn solve_cascoded_impl(
     env: &CellEnvironment,
     v_gate_cas: f64,
     v_gate_sw: f64,
-    hint: Option<[f64; 3]>,
 ) -> Result<OperatingPoint, SolveDcError> {
     if cell.topology() != CellTopology::Cascoded {
         return Err(SolveDcError::WrongTopology {
@@ -1389,45 +1313,6 @@ fn solve_cascoded_impl(
     };
     let fj = Some(&fused);
 
-    let assemble = |stage: SolveStage, x: [f64; 3], iterations: usize, residual: f64| {
-        let [v_a, v_b, v_out] = x;
-        OperatingPoint {
-            v_node_a: v_a,
-            v_node_b: v_b,
-            v_out,
-            i_out: (env.vdd - v_out) / env.rl,
-            region_cs: cs.region(v_gate_cs, v_a, 0.0),
-            region_cas: Some(cas.region(
-                v_gate_cas - v_a,
-                (v_b - v_a).max(0.0),
-                v_a.max(0.0),
-            )),
-            region_sw: sw.region(v_gate_sw - v_b, (v_out - v_b).max(0.0), v_b.max(0.0)),
-            stage,
-            iterations,
-            residual,
-        }
-    };
-
-    if let Some(h) = hint {
-        if h.iter().all(|v| v.is_finite()) {
-            let h = [
-                h[0].clamp(0.0, env.vdd),
-                h[1].clamp(0.0, env.vdd),
-                h[2].clamp(0.0, env.vdd),
-            ];
-            if let StageResult::Converged { x, iterations, rj, .. } =
-                newton_stage(&residuals, fj, h, env.vdd, tol, 1.0, 1e3, WARM_MAX_ITER)
-            {
-                if let Some((xp, extra, res)) = polish(&fused, x, env.vdd, rj) {
-                    if res < tol {
-                        return Ok(assemble(SolveStage::WarmStart, xp, iterations + extra, res));
-                    }
-                }
-            }
-        }
-    }
-
     let x0 = [
         (v_gate_cas - cas.params().vt0 - vov_cas).clamp(0.0, env.vdd),
         (v_gate_sw - sw.params().vt0 - cell.vov_sw()).clamp(0.0, env.vdd),
@@ -1462,9 +1347,20 @@ fn solve_cascoded_impl(
         Ok([v_a, v_b, v_out_for(v_a, v_b)?])
     };
 
-    let (stage, x, iterations, residual) =
+    let (stage, [v_a, v_b, v_out], iterations, residual) =
         run_ladder(&residuals, fj, x0, env.vdd, tol, &mut bisect)?;
-    Ok(assemble(stage, x, iterations, residual))
+    Ok(OperatingPoint {
+        v_node_a: v_a,
+        v_node_b: v_b,
+        v_out,
+        i_out: (env.vdd - v_out) / env.rl,
+        region_cs: cs.region(v_gate_cs, v_a, 0.0),
+        region_cas: Some(cas.region(v_gate_cas - v_a, (v_b - v_a).max(0.0), v_a.max(0.0))),
+        region_sw: sw.region(v_gate_sw - v_b, (v_out - v_b).max(0.0), v_b.max(0.0)),
+        stage,
+        iterations,
+        residual,
+    })
 }
 
 #[cfg(test)]
@@ -1752,20 +1648,19 @@ mod tests {
         // The analytic cold start moved from the legacy closed form to the
         // saturation pre-solve; the polish contract must keep the reported
         // solution bit-identical to one seeded from the legacy start (here:
-        // the reference solver's answer, compared at solver tolerance, and
-        // the warm/cold identity, compared bitwise).
+        // the analytic ladder run from the legacy start, compared bitwise,
+        // and the reference solver's answer, compared at solver tolerance).
         let (cell, env) = cell_and_env();
         let opt = OptimumBias::of(&cell, &env).expect("feasible");
         let cold = solve_simple(&cell, &env, opt.v_gate_sw).expect("cold");
-        let warm = solve_simple_warm(
+        let legacy = ladder_from(
             &cell,
             &env,
             opt.v_gate_sw,
-            Some([opt.v_node_a, env.vdd - cell.i_unit() * env.rl]),
-        )
-        .expect("warm");
-        assert_eq!(cold.v_node_a.to_bits(), warm.v_node_a.to_bits());
-        assert_eq!(cold.v_out.to_bits(), warm.v_out.to_bits());
+            legacy_cold_start(&cell, &env, opt.v_gate_sw),
+        );
+        assert_eq!(cold.v_node_a.to_bits(), legacy[0].to_bits());
+        assert_eq!(cold.v_out.to_bits(), legacy[1].to_bits());
         let reference = solve_simple_reference(&cell, &env, opt.v_gate_sw).expect("reference");
         assert!((cold.v_out - reference.v_out).abs() < 1e-6);
         // The pre-solve start should land close enough that the first rung
@@ -1984,8 +1879,29 @@ mod tests {
         }
     }
 
+    /// The analytic Newton ladder plus polish on the simple cell, started
+    /// from an arbitrary `x0` (no bisection fallback).
+    fn ladder_from(
+        cell: &SizedCell,
+        env: &CellEnvironment,
+        v_gate_sw: f64,
+        x0: [f64; 2],
+    ) -> [f64; 2] {
+        let (cs, sw) = (cell.cs(), cell.sw());
+        let v_gate_cs = cs.params().vt0 + cell.vov_cs();
+        let residuals = |x: &[f64; 2]| simple_residuals(cs, sw, env, v_gate_cs, v_gate_sw, x);
+        let fused =
+            |x: &[f64; 2]| simple_residuals_and_jacobian(cs, sw, env, v_gate_cs, v_gate_sw, x);
+        let (_, x, _, _) =
+            run_ladder(&residuals, Some(&fused), x0, env.vdd, tolerance(cell), &mut || Err(()))
+                .expect("Newton ladder converges");
+        x
+    }
+
     #[test]
-    fn warm_start_is_bit_identical_to_cold() {
+    fn polished_solution_is_independent_of_the_start() {
+        // The polish contract the lane kernel relies on: whatever start the
+        // ladder is handed, the accepted solution is the same bit pattern.
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
         for &(vcs, vsw) in &[(0.3, 0.3), (0.5, 0.6), (0.9, 0.5), (1.1, 1.0)] {
@@ -1993,74 +1909,22 @@ mod tests {
                 SizedCell::simple_from_overdrives(&tech, 78.1e-6, vcs, vsw, 400e-12, None);
             let opt = OptimumBias::of(&cell, &env).expect("feasible");
             let cold = solve_simple(&cell, &env, opt.v_gate_sw).expect("converges");
-            // Hints: the exact solution, a perturbed neighbour, and garbage.
-            for hint in [
+            // Starts: the exact solution, a perturbed neighbour, and a
+            // far corner of the supply box.
+            for x0 in [
                 [cold.v_node_a, cold.v_out],
                 [cold.v_node_a + 0.07, cold.v_out - 0.04],
                 [0.0, env.vdd],
             ] {
-                let warm = solve_simple_warm(&cell, &env, opt.v_gate_sw, Some(hint))
-                    .expect("converges");
+                let x = ladder_from(&cell, &env, opt.v_gate_sw, x0);
                 assert_eq!(
-                    warm.v_node_a.to_bits(),
+                    x[0].to_bits(),
                     cold.v_node_a.to_bits(),
-                    "VA mismatch at ({vcs},{vsw}) hint {hint:?}"
+                    "VA mismatch at ({vcs},{vsw}) from {x0:?}"
                 );
-                assert_eq!(warm.v_out.to_bits(), cold.v_out.to_bits());
-                assert_eq!(warm.i_out.to_bits(), cold.i_out.to_bits());
-                assert_eq!(warm.region_cs, cold.region_cs);
-                assert_eq!(warm.region_sw, cold.region_sw);
+                assert_eq!(x[1].to_bits(), cold.v_out.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn warm_start_with_nan_hint_falls_back_to_cold() {
-        let (cell, env) = cell_and_env();
-        let opt = OptimumBias::of(&cell, &env).expect("feasible");
-        let cold = solve_simple(&cell, &env, opt.v_gate_sw).expect("converges");
-        let warm = solve_simple_warm(&cell, &env, opt.v_gate_sw, Some([f64::NAN, 3.0]))
-            .expect("converges");
-        assert_eq!(warm, cold);
-    }
-
-    #[test]
-    fn warm_cascoded_is_bit_identical_to_cold() {
-        let (cell, env) = cascoded_cell();
-        let opt = OptimumBias::of(&cell, &env).expect("feasible");
-        let v_cas = opt.v_gate_cas.expect("cascoded bias");
-        let cold = solve_cascoded(&cell, &env, v_cas, opt.v_gate_sw).expect("converges");
-        let hint = [cold.v_node_a + 0.05, cold.v_node_b - 0.03, cold.v_out];
-        let warm = solve_cascoded_warm(&cell, &env, v_cas, opt.v_gate_sw, Some(hint))
-            .expect("converges");
-        assert_eq!(warm.v_node_a.to_bits(), cold.v_node_a.to_bits());
-        assert_eq!(warm.v_node_b.to_bits(), cold.v_node_b.to_bits());
-        assert_eq!(warm.v_out.to_bits(), cold.v_out.to_bits());
-    }
-
-    #[test]
-    fn warm_start_converges_in_fewer_iterations() {
-        let (cell, env) = cell_and_env();
-        let opt = OptimumBias::of(&cell, &env).expect("feasible");
-        let cold = solve_simple(&cell, &env, opt.v_gate_sw).expect("converges");
-        let warm = solve_simple_warm(
-            &cell,
-            &env,
-            opt.v_gate_sw,
-            Some([cold.v_node_a, cold.v_out]),
-        )
-        .expect("converges");
-        assert_eq!(warm.stage, SolveStage::WarmStart);
-        // The saturation pre-solve hands the cold ladder a near-root start,
-        // so an exact-solution hint can no longer beat it by much — but it
-        // must never be *worse*, and both regimes stay shallow.
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        assert!(cold.iterations <= 12, "cold regressed: {}", cold.iterations);
     }
 
     #[test]

@@ -14,20 +14,25 @@
 //! organised for throughput without giving up determinism:
 //!
 //! * spec-level invariants (the yield deviate, headroom, segmentation
-//!   constants) are hoisted out of the per-point loop, and the CS sizing —
-//!   a function of `V_OD,CS` only — is computed once per grid row;
-//! * each point builds its LSB and unary cells exactly once and solves the
-//!   optimum bias fixed point once, sharing it between the pole model and
-//!   the output-impedance evaluation;
+//!   constants) are hoisted out of the per-point loop; the CS devices — a
+//!   function of `V_OD,CS` only — are sized once per grid row, and the
+//!   switch devices — a function of `V_OD,SW` only — once per sweep, in a
+//!   column table shared by every row (sequential and supervised alike);
+//! * each point solves the optimum bias fixed point once, sharing it
+//!   between the pole model and the output-impedance evaluation;
 //! * every candidate point is *DC-verified* by the Newton solver of
-//!   `ctsdac_circuit::dc`, warm-started from the previous point of the same
-//!   grid row ([`SweepMode::Warm`]). The solver polishes warm and cold
-//!   solutions to the same fixed point, so the sweep stays bit-identical to
-//!   the cold-start sweep ([`SweepMode::Cold`]) for any `--jobs` count —
-//!   chunks are grid rows and hints never cross a row boundary;
+//!   `ctsdac_circuit::dc`. A row defers its solves and batches them through
+//!   the lane-wide kernel (`solve_simple_lanes`, [`SweepMode::Lanes`]),
+//!   which returns the scalar cold solver's bits; single points
+//!   ([`DesignSpace::evaluate`]) and the adaptive lattice call the scalar
+//!   solver directly. Chunks are grid rows, so the sweep is bit-identical
+//!   for any `--jobs` count;
 //! * results land in a flat struct-of-arrays [`DesignGrid`];
 //! * [`DesignSpace::sweep_adaptive`] offers a coarse-to-fine mode that only
 //!   densifies near the feasibility boundary and the objective optimum.
+//!
+//! [`SweepMode::Reference`], the pre-optimization kernel, is the one
+//! oracle: it agrees with the production sweep to solver tolerance.
 
 use crate::saturation::SaturationCondition;
 use crate::sizing::{
@@ -39,9 +44,7 @@ use crate::spec::DacSpec;
 use core::fmt;
 use ctsdac_circuit::bias::OptimumBias;
 use ctsdac_circuit::cell::SizedCell;
-use ctsdac_circuit::dc::{
-    solve_simple_lanes, solve_simple_reference, solve_simple_warm, SolveStage,
-};
+use ctsdac_circuit::dc::{solve_simple, solve_simple_lanes, solve_simple_reference};
 use ctsdac_circuit::impedance::{rout_at_optimum, rout_at_optimum_with_bias};
 use ctsdac_circuit::poles::PoleModel;
 use ctsdac_circuit::settling::{settling_time_two_pole, settling_time_two_pole_bisect};
@@ -212,43 +215,33 @@ pub enum Objective {
     MaxImpedance,
 }
 
-/// How the sweep kernel drives the DC verification solver.
+/// Which point kernel a sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepMode {
-    /// Warm-start each DC solve from the previous point of the same grid
-    /// row, with analytic Jacobians and memoized invariants. Bit-identical
-    /// to [`SweepMode::Cold`] by the solver's fixed-point polish contract.
+    /// The production kernel. Rows run the closed-form metric chain per
+    /// point with the CS devices hoisted per row and the switch devices per
+    /// sweep, and batch the row's deferred DC solves through the lane-wide
+    /// Newton kernel (`solve_simple_lanes`) in fixed-width groups. Single
+    /// points ([`DesignSpace::evaluate`], the adaptive lattice) run the
+    /// scalar cold kernel. Both produce the same bits in every
+    /// [`DesignPoint`] field and the same solver counters, by the lane
+    /// kernel's scalar-equivalence contract.
     #[default]
-    Warm,
-    /// Cold-start every DC solve (analytic Jacobians, memoized invariants).
-    /// The golden reference for the warm path's bit-identity test.
-    Cold,
-    /// The pre-optimization baseline: cold starts, central-difference
-    /// Jacobians, fixed-depth bisection settling, no fixed-point polish,
-    /// and no memoization — every point recomputes its sizing, margin,
-    /// and bias from scratch. Numerically agrees with the other modes to
-    /// solver tolerance but not bitwise; kept as a debug cross-check and
-    /// as `sweep_bench`'s baseline.
-    Reference,
-    /// Lane-batched rows: the closed-form metric chain runs per point with
-    /// the row-constant CS geometry hoisted, and the per-point DC solves of
-    /// a row are deferred and batched through the lane-wide Newton kernel
-    /// (`solve_simple_lanes`) in fixed-width SIMD-style groups. Bit-identical
-    /// to [`SweepMode::Warm`]/[`SweepMode::Cold`] in every [`DesignPoint`]
-    /// field by the lane kernel's scalar-equivalence contract; the
-    /// iteration diagnostics match the cold path (lanes start cold). Single
-    /// points ([`DesignSpace::evaluate`], the adaptive lattice) fall back
-    /// to the scalar cold kernel, which produces the same bits.
     Lanes,
+    /// The pre-optimization baseline and the one oracle: central-difference
+    /// Jacobians, fixed-depth bisection settling, no fixed-point polish,
+    /// and no memoization — every point recomputes its sizing, margin, and
+    /// bias from scratch. Agrees with [`SweepMode::Lanes`] to solver
+    /// tolerance but not bitwise; kept as a cross-check and as
+    /// `sweep_bench`'s baseline.
+    Reference,
 }
 
 impl fmt::Display for SweepMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SweepMode::Warm => write!(f, "warm"),
-            SweepMode::Cold => write!(f, "cold"),
-            SweepMode::Reference => write!(f, "reference"),
             SweepMode::Lanes => write!(f, "lanes"),
+            SweepMode::Reference => write!(f, "reference"),
         }
     }
 }
@@ -261,16 +254,14 @@ impl fmt::Display for SweepMode {
 const LANE_W: usize = 8;
 
 /// Aggregate DC-solver effort of one sweep — the side channel for solver
-/// diagnostics, kept out of [`DesignPoint`] so warm and cold sweeps stay
-/// bit-identical in their journaled payloads.
+/// diagnostics, kept out of [`DesignPoint`] so the journaled payloads carry
+/// only the design results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Number of DC solves attempted (one per point with a bias point).
     pub dc_solves: u64,
     /// Total Newton iterations across all solves (including polish).
     pub dc_iterations: u64,
-    /// Solves that converged on the warm-started stage.
-    pub warm_hits: u64,
     /// Solves that failed (the point keeps zeroed DC fields).
     pub dc_failures: u64,
 }
@@ -288,7 +279,6 @@ impl SweepStats {
     pub fn merge(&mut self, other: &SweepStats) {
         self.dc_solves += other.dc_solves;
         self.dc_iterations += other.dc_iterations;
-        self.warm_hits += other.warm_hits;
         self.dc_failures += other.dc_failures;
     }
 }
@@ -440,7 +430,7 @@ pub struct DesignSpace {
 
 impl DesignSpace {
     /// Creates an explorer with a default 32×32 grid over
-    /// `[0.05 V, V_out,min]` per axis, in [`SweepMode::Warm`].
+    /// `[0.05 V, V_out,min]` per axis, in [`SweepMode::Lanes`].
     pub fn new(spec: &DacSpec, condition: SaturationCondition) -> Self {
         Self {
             spec: *spec,
@@ -448,11 +438,11 @@ impl DesignSpace {
             grid: 32,
             vov_min: 0.05,
             vov_max: spec.env.v_out_min(),
-            mode: SweepMode::Warm,
+            mode: SweepMode::Lanes,
         }
     }
 
-    /// Selects how the DC verification solver is driven (see [`SweepMode`]).
+    /// Selects the point kernel (see [`SweepMode`]).
     pub fn with_mode(mut self, mode: SweepMode) -> Self {
         self.mode = mode;
         self
@@ -486,8 +476,14 @@ impl DesignSpace {
         self
     }
 
-    /// The grid coordinates of one axis.
+    /// The grid coordinates of one axis. Empty when the range does not
+    /// rise from `vov_min` (the default upper bound `V_out,min` is at or
+    /// below the 0.05 V floor): no pair of positive overdrives fits under
+    /// the headroom then, and every search reports an empty region.
     pub fn axis(&self) -> Vec<f64> {
+        if self.vov_max <= self.vov_min {
+            return Vec::new();
+        }
         (0..self.grid)
             .map(|i| {
                 self.vov_min
@@ -502,32 +498,33 @@ impl DesignSpace {
     /// [`InfeasibleReason::NumericalFailure`] instead of carrying fabricated
     /// figures of merit.
     ///
-    /// Single-point entry to the same kernel the sweeps run: the result is
-    /// bit-identical to the corresponding dense-sweep point (the DC
-    /// solver's warm/cold fixed-point contract makes the missing row hint
-    /// invisible in the solution).
+    /// Single-point entry: the scalar cold kernel, bit-identical to the
+    /// corresponding dense-sweep point (the lane kernel returns the scalar
+    /// solver's bits).
     pub fn evaluate(&self, vov_cs: f64, vov_sw: f64) -> DesignPoint {
-        let mut stats = SweepStats::default();
+        self.evaluate_counted(vov_cs, vov_sw, &mut SweepStats::default())
+    }
+
+    /// [`Self::evaluate`] accumulating solver effort into `stats`; shared
+    /// with the adaptive lattice.
+    fn evaluate_counted(&self, vov_cs: f64, vov_sw: f64, stats: &mut SweepStats) -> DesignPoint {
         if self.mode == SweepMode::Reference {
-            return self.evaluate_reference(vov_cs, vov_sw, &mut stats);
+            return self.evaluate_reference(vov_cs, vov_sw, stats);
         }
         let ctx = SweepCtx::new(self);
         let unit = CsSizing::for_spec(&self.spec, vov_cs);
-        self.evaluate_in(&ctx, &unit, vov_sw, None, &mut stats).0
+        self.evaluate_in(&ctx, &unit, vov_sw, stats)
     }
 
-    /// The memoized point kernel. `unit` is the row's CS sizing (a function
-    /// of `vov_cs` only), `hint` the previous point's DC node voltages.
-    /// Returns the point plus the hint for the next point of the row
-    /// (`None` when the DC solve failed or never ran).
+    /// The scalar cold point kernel. `unit` is the CS sizing (a function of
+    /// `vov_cs` only).
     fn evaluate_in(
         &self,
         ctx: &SweepCtx,
         unit: &CsSizing,
         vov_sw: f64,
-        hint: Option<[f64; 2]>,
         stats: &mut SweepStats,
-    ) -> (DesignPoint, Option<[f64; 2]>) {
+    ) -> DesignPoint {
         obs::incr(obs::Counter::SweepPoints);
         let spec = &self.spec;
         let vov_cs = unit.vov();
@@ -549,7 +546,6 @@ impl DesignSpace {
         let total_area = total_analog_area_from_lsb(spec, &lsb_cell);
         let mut metrics = (0.0, f64::INFINITY, 0.0);
         let mut dc = (0.0, false);
-        let mut next_hint = None;
         if has_bias {
             let cell = build_simple_cell_with_unit(spec, unit, vov_sw, ctx.unary_weight);
             let mut failed = true;
@@ -567,20 +563,14 @@ impl DesignSpace {
                         failed = false;
                     }
                 }
-                // DC verification: warm-started within the row in
-                // `SweepMode::Warm`, always cold otherwise. Informational —
-                // a solver failure keeps the closed-form feasibility
-                // verdict, it does not retag the point.
-                let h = if self.mode == SweepMode::Warm { hint } else { None };
+                // DC verification. Informational — a solver failure keeps
+                // the closed-form feasibility verdict, it does not retag
+                // the point.
                 stats.dc_solves += 1;
-                match solve_simple_warm(&cell, &spec.env, opt.v_gate_sw, h) {
+                match solve_simple(&cell, &spec.env, opt.v_gate_sw) {
                     Ok(op) => {
                         stats.dc_iterations += op.iterations as u64;
-                        if op.stage == SolveStage::WarmStart {
-                            stats.warm_hits += 1;
-                        }
                         dc = (op.i_out, op.all_saturated());
-                        next_hint = Some([op.v_node_a, op.v_out]);
                     }
                     Err(_) => stats.dc_failures += 1,
                 }
@@ -593,7 +583,7 @@ impl DesignSpace {
         }
         let (min_pole_hz, settling_s, rout) = metrics;
         let (dc_i_out, dc_saturated) = dc;
-        let point = DesignPoint {
+        DesignPoint {
             vov_cs,
             vov_sw,
             feasible: reason.is_none(),
@@ -604,8 +594,7 @@ impl DesignSpace {
             rout,
             dc_i_out,
             dc_saturated,
-        };
-        (point, next_hint)
+        }
     }
 
     /// The pre-optimization point kernel, kept verbatim as the baseline:
@@ -676,38 +665,32 @@ impl DesignSpace {
     }
 
     /// Evaluates one grid row (fixed `vov_cs`, all `vov_sw` values of the
-    /// axis) with the row-local warm-start chain. Shared verbatim by the
-    /// sequential and supervised sweeps so they stay bit-identical.
-    fn evaluate_row(&self, vov_cs: f64, axis: &[f64], stats: &mut SweepStats) -> Vec<DesignPoint> {
+    /// axis) in the active mode; `cols` is the sweep's switch table. Shared
+    /// verbatim by the sequential and supervised sweeps so they stay
+    /// bit-identical.
+    fn evaluate_row<const W: usize>(
+        &self,
+        vov_cs: f64,
+        axis: &[f64],
+        cols: &SwColumns,
+        stats: &mut SweepStats,
+    ) -> Vec<DesignPoint> {
         match self.mode {
-            SweepMode::Reference => {
-                return axis
-                    .iter()
-                    .map(|&vov_sw| self.evaluate_reference(vov_cs, vov_sw, stats))
-                    .collect();
-            }
-            SweepMode::Lanes => return self.evaluate_row_lanes::<LANE_W>(vov_cs, axis, None, stats),
-            SweepMode::Warm | SweepMode::Cold => {}
+            SweepMode::Lanes => self.evaluate_row_lanes::<W>(vov_cs, axis, cols, stats),
+            SweepMode::Reference => axis
+                .iter()
+                .map(|&vov_sw| self.evaluate_reference(vov_cs, vov_sw, stats))
+                .collect(),
         }
-        let ctx = SweepCtx::new(self);
-        let unit = CsSizing::for_spec(&self.spec, vov_cs);
-        let mut hint = None;
-        let mut row = Vec::with_capacity(axis.len());
-        for &vov_sw in axis {
-            let (p, h) = self.evaluate_in(&ctx, &unit, vov_sw, hint, stats);
-            hint = h;
-            row.push(p);
-        }
-        row
     }
 
     /// The [`SweepMode::Lanes`] row kernel. Phase A walks the row's
     /// closed-form metric chain per point — with the CS geometry (a
     /// function of `vov_cs` and the cell weight only) hoisted out of the
     /// loop and the switch geometry (a function of `vov_sw` and the weight
-    /// only) hoisted per column via `sw_cols` — and defers every DC solve;
-    /// phase B batches the deferred solves through the lane-wide Newton
-    /// kernel in groups of `W`.
+    /// only) read from the sweep's column table `cols` — and defers every
+    /// DC solve; phase B batches the deferred solves through the lane-wide
+    /// Newton kernel in groups of `W`.
     ///
     /// Every [`DesignPoint`] is bit-identical to the scalar
     /// [`Self::evaluate_in`] result: the hoisted cell assembly reproduces
@@ -719,7 +702,7 @@ impl DesignSpace {
         &self,
         vov_cs: f64,
         axis: &[f64],
-        sw_cols: Option<&SwColumns>,
+        cols: &SwColumns,
         stats: &mut SweepStats,
     ) -> Vec<DesignPoint> {
         let spec = &self.spec;
@@ -728,17 +711,6 @@ impl DesignSpace {
         // Row-constant CS devices: one per cell weight used in the row.
         let cs_lsb = sized_cs_with_unit(spec, &unit, 1);
         let cs_unary = sized_cs_with_unit(spec, &unit, ctx.unary_weight);
-        // Column-constant switch devices: supplied by the dense sweep (one
-        // table for all rows) or rebuilt here (supervised chunks, which pay
-        // exactly the per-point sizing cost they would anyway).
-        let owned_cols;
-        let cols = match sw_cols {
-            Some(c) => c,
-            None => {
-                owned_cols = SwColumns::build(spec, axis, ctx.unary_weight);
-                &owned_cols
-            }
-        };
         // One batched count per row: totals stay jobs- and W-invariant.
         obs::count(obs::Counter::SweepPoints, axis.len() as u64);
         let mut row = Vec::with_capacity(axis.len());
@@ -820,9 +792,6 @@ impl DesignSpace {
             match result {
                 Ok(op) => {
                     stats.dc_iterations += op.iterations as u64;
-                    if op.stage == SolveStage::WarmStart {
-                        stats.warm_hits += 1;
-                    }
                     row[dc_idx[k]].dc_i_out = op.i_out;
                     row[dc_idx[k]].dc_saturated = op.all_saturated();
                 }
@@ -832,24 +801,19 @@ impl DesignSpace {
         row
     }
 
-    /// Test-and-certification entry: the dense lanes sweep at an explicit
-    /// lane width. The production width is [`LANE_W`]; the lane-differential
-    /// suite runs this at 4 and 8 to prove results and counters are
-    /// width-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the space is not in [`SweepMode::Lanes`].
+    /// Test-and-certification entry: the dense sweep at an explicit lane
+    /// width (ignored in [`SweepMode::Reference`]). The production width is
+    /// [`LANE_W`]; the lane-differential suite runs this at 4 and 8 to
+    /// prove results and counters are width-invariant.
     #[doc(hidden)]
     pub fn sweep_with_stats_lane_width<const W: usize>(&self) -> (DesignGrid, SweepStats) {
-        assert_eq!(self.mode, SweepMode::Lanes, "lane-width sweep needs SweepMode::Lanes");
         let _span = obs::span("core.sweep.dense");
         let axis = self.axis();
-        let cols = SwColumns::build(&self.spec, &axis, self.spec.unary_weight());
+        let cols = SwColumns::build(&self.spec, &axis);
         let mut grid = DesignGrid::with_capacity(axis.len() * axis.len());
         let mut stats = SweepStats::default();
         for &vov_cs in &axis {
-            for p in self.evaluate_row_lanes::<W>(vov_cs, &axis, Some(&cols), &mut stats) {
+            for p in self.evaluate_row::<W>(vov_cs, &axis, &cols, &mut stats) {
                 grid.push(p);
             }
         }
@@ -868,21 +832,7 @@ impl DesignSpace {
 
     /// [`DesignSpace::sweep_grid`] plus the DC-solver effort counters.
     pub fn sweep_with_stats(&self) -> (DesignGrid, SweepStats) {
-        if self.mode == SweepMode::Lanes {
-            // Dense lanes sweeps hoist the column-constant switch table
-            // once for the whole grid.
-            return self.sweep_with_stats_lane_width::<LANE_W>();
-        }
-        let _span = obs::span("core.sweep.dense");
-        let axis = self.axis();
-        let mut grid = DesignGrid::with_capacity(axis.len() * axis.len());
-        let mut stats = SweepStats::default();
-        for &vov_cs in &axis {
-            for p in self.evaluate_row(vov_cs, &axis, &mut stats) {
-                grid.push(p);
-            }
-        }
-        (grid, stats)
+        self.sweep_with_stats_lane_width::<LANE_W>()
     }
 
     /// Best feasible point under `objective`.
@@ -941,9 +891,13 @@ impl DesignSpace {
         let g = axis.len();
         let mut stats = SweepStats::default();
         let mut memo: BTreeMap<(usize, usize), DesignPoint> = BTreeMap::new();
-        // Root block spans the whole index square; blocks split at their
-        // midpoint per axis, so every corner stays on the dense lattice.
-        let mut blocks: Vec<(usize, usize, usize, usize)> = vec![(0, g - 1, 0, g - 1)];
+        // Root block spans the whole index square (none on an empty
+        // axis); blocks split at their midpoint per axis, so every corner
+        // stays on the dense lattice.
+        let mut blocks: Vec<(usize, usize, usize, usize)> = match g {
+            0 => Vec::new(),
+            _ => vec![(0, g - 1, 0, g - 1)],
+        };
         let mut levels = 0usize;
         while !blocks.is_empty() {
             levels += 1;
@@ -951,8 +905,11 @@ impl DesignSpace {
             // order: blocks are pushed and scanned in row-major order).
             for &(i0, i1, j0, j1) in &blocks {
                 for (i, j) in [(i0, j0), (i0, j1), (i1, j0), (i1, j1)] {
+                    // Lattice node (i, j): axis index i is vov_cs, j is
+                    // vov_sw, evaluated by the scalar kernel, so the point
+                    // is bit-identical to its dense counterpart.
                     if !memo.contains_key(&(i, j)) {
-                        let p = self.eval_lattice(&axis, i, j, &mut stats);
+                        let p = self.evaluate_counted(axis[i], axis[j], &mut stats);
                         memo.insert((i, j), p);
                     }
                 }
@@ -1022,24 +979,6 @@ impl DesignSpace {
         }
     }
 
-    /// Evaluates dense-lattice node `(i, j)` — axis index `i` is `vov_cs`,
-    /// `j` is `vov_sw` — with the same kernel as the dense sweep (cold
-    /// hint, so the point is bit-identical to its dense counterpart).
-    fn eval_lattice(
-        &self,
-        axis: &[f64],
-        i: usize,
-        j: usize,
-        stats: &mut SweepStats,
-    ) -> DesignPoint {
-        if self.mode == SweepMode::Reference {
-            return self.evaluate_reference(axis[i], axis[j], stats);
-        }
-        let ctx = SweepCtx::new(self);
-        let unit = CsSizing::for_spec(&self.spec, axis[i]);
-        self.evaluate_in(&ctx, &unit, axis[j], None, stats).0
-    }
-
     /// Best feasible point of an adaptive sweep — the fast-path analogue of
     /// [`DesignSpace::optimize_constrained`].
     ///
@@ -1060,9 +999,9 @@ impl DesignSpace {
     /// checkpoint journal identity: resuming with a different spec, grid,
     /// range or condition is rejected instead of splicing wrong results.
     fn params_digest(&self) -> String {
-        // The mode is part of the identity: warm and cold journals are
-        // interchangeable by the bit-identity contract, but the reference
-        // mode differs in the last bits and must not splice into them.
+        // The mode is part of the identity: the reference kernel differs
+        // from the lanes kernel in the last bits, so the two must not
+        // splice into one journal.
         format!(
             "cond={:?};grid={};vov=[{},{}];mode={:?};spec={:?}",
             self.condition,
@@ -1101,6 +1040,8 @@ impl DesignSpace {
     ) -> Result<Supervised<Vec<DesignPoint>>, SweepError> {
         let _span = obs::span("core.sweep.supervised");
         let axis = self.axis();
+        // One switch table for every chunk, exactly as the dense sweep.
+        let cols = SwColumns::build(&self.spec, &axis);
         let meta = JournalMeta {
             kind: "sweep".into(),
             seed: 0,
@@ -1114,13 +1055,12 @@ impl DesignSpace {
             encode_row,
             |ctx| {
                 let vov_cs = axis[ctx.chunk as usize];
-                // The row-local warm-start chain is shared with the
-                // sequential sweep; hints never cross the chunk (row)
-                // boundary, so any job count produces identical bits.
-                // Per-row solver stats stay local: putting them in the
-                // journaled payload would break warm/cold bit-identity.
+                // The row kernel is shared with the sequential sweep and a
+                // row depends on nothing outside itself, so any job count
+                // produces identical bits. Per-row solver stats stay local:
+                // the journaled payload carries only the design points.
                 let mut row_stats = SweepStats::default();
-                let mut row = self.evaluate_row(vov_cs, &axis, &mut row_stats);
+                let mut row = self.evaluate_row::<LANE_W>(vov_cs, &axis, &cols, &mut row_stats);
                 ctx.add_units(row.len() as u64);
                 if ctx.injected_nan() {
                     if let Some(p) = row.first_mut() {
@@ -1237,14 +1177,16 @@ impl SweepCtx {
 }
 
 /// Column-constant switch devices of a lanes sweep: the switch geometry
-/// depends only on `(vov_sw, weight)`, so one table serves every grid row.
+/// depends only on `(vov_sw, weight)`, so one table, built once per sweep,
+/// serves every grid row.
 struct SwColumns {
     lsb: Vec<ctsdac_process::mosfet::Mosfet>,
     unary: Vec<ctsdac_process::mosfet::Mosfet>,
 }
 
 impl SwColumns {
-    fn build(spec: &DacSpec, axis: &[f64], unary_weight: u64) -> Self {
+    fn build(spec: &DacSpec, axis: &[f64]) -> Self {
+        let unary_weight = spec.unary_weight();
         Self {
             lsb: axis.iter().map(|&v| sized_sw_with_weight(spec, v, 1)).collect(),
             unary: axis
@@ -1666,59 +1608,37 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_is_bit_identical_to_cold() {
-        let warm = space(SaturationCondition::Statistical).with_grid(10);
-        let cold = warm.clone().with_mode(SweepMode::Cold);
-        let (wg, ws) = warm.sweep_with_stats();
-        let (cg, cs) = cold.sweep_with_stats();
-        assert_eq!(wg.len(), cg.len());
-        for (a, b) in wg.iter_points().zip(cg.iter_points()) {
-            assert_eq!(a.dc_i_out.to_bits(), b.dc_i_out.to_bits(), "at ({}, {})", a.vov_cs, a.vov_sw);
-            assert_eq!(a.rout.to_bits(), b.rout.to_bits());
-            assert_eq!(a.settling_s.to_bits(), b.settling_s.to_bits());
-            assert_eq!(a, b);
+    fn lanes_sweep_is_bit_identical_to_the_scalar_kernel() {
+        // The dense sweep against `evaluate` mapped over the same lattice:
+        // every point and the summed solver effort must match bit for bit.
+        let s = space(SaturationCondition::Statistical).with_grid(10);
+        assert_eq!(s.mode(), SweepMode::Lanes, "production default");
+        let (grid, ls) = s.sweep_with_stats();
+        let axis = s.axis();
+        let mut scalar = SweepStats::default();
+        for (i, &vov_cs) in axis.iter().enumerate() {
+            for (j, &vov_sw) in axis.iter().enumerate() {
+                let p = s.evaluate_counted(vov_cs, vov_sw, &mut scalar);
+                let q = grid.point(i * axis.len() + j);
+                assert_eq!(p.dc_i_out.to_bits(), q.dc_i_out.to_bits(), "at ({i}, {j})");
+                assert_eq!(p.rout.to_bits(), q.rout.to_bits());
+                assert_eq!(p.settling_s.to_bits(), q.settling_s.to_bits());
+                assert_eq!(p.total_area.to_bits(), q.total_area.to_bits());
+                assert_eq!(p, q, "at ({i}, {j})");
+            }
         }
-        assert!(ws.warm_hits > 0, "warm path never engaged: {ws:?}");
-        assert_eq!(cs.warm_hits, 0, "cold sweep must not warm-start");
-        // Since the saturation pre-solve landed, cold starts converge in a
-        // handful of full-model iterations (the pre-solve's fixed smooth
-        // steps are not counted), so warm no longer strictly beats cold on
-        // the counter. Both must stay in the same few-iterations-per-solve
-        // regime; the bit-identity above is the invariant that matters.
+        assert_eq!(ls, scalar, "lane and scalar solver effort differ");
         assert!(
-            ws.iterations_per_solve() < 12.0 && cs.iterations_per_solve() < 12.0,
-            "iteration blow-up: warm {ws:?} vs cold {cs:?}"
+            ls.iterations_per_solve() < 12.0,
+            "iteration blow-up: {ls:?}"
         );
-    }
-
-    #[test]
-    fn lanes_sweep_is_bit_identical_to_warm() {
-        let warm = space(SaturationCondition::Statistical).with_grid(10);
-        let lanes = warm.clone().with_mode(SweepMode::Lanes);
-        let (wg, ws) = warm.sweep_with_stats();
-        let (lg, ls) = lanes.sweep_with_stats();
-        assert_eq!(wg.len(), lg.len());
-        for (a, b) in wg.iter_points().zip(lg.iter_points()) {
-            assert_eq!(a.dc_i_out.to_bits(), b.dc_i_out.to_bits(), "at ({}, {})", a.vov_cs, a.vov_sw);
-            assert_eq!(a.rout.to_bits(), b.rout.to_bits());
-            assert_eq!(a.settling_s.to_bits(), b.settling_s.to_bits());
-            assert_eq!(a.total_area.to_bits(), b.total_area.to_bits());
-            assert_eq!(a, b);
-        }
-        // Lanes start cold, so the solve/failure tallies match warm's and
-        // no warm hits are possible.
-        assert_eq!(ls.warm_hits, 0, "lane sweep must not warm-start");
-        assert_eq!(ls.dc_solves, ws.dc_solves);
-        assert_eq!(ls.dc_failures, ws.dc_failures);
     }
 
     #[test]
     fn lane_width_does_not_change_results_or_counters() {
         // Lane-width invariance of both the stored points and the solver
         // effort counters: W = 1 (pure scalar order), 4 and 8.
-        let lanes = space(SaturationCondition::Statistical)
-            .with_grid(10)
-            .with_mode(SweepMode::Lanes);
+        let lanes = space(SaturationCondition::Statistical).with_grid(10);
         let (g8, s8) = lanes.sweep_with_stats_lane_width::<8>();
         let (g4, s4) = lanes.sweep_with_stats_lane_width::<4>();
         let (g1, s1) = lanes.sweep_with_stats_lane_width::<1>();
@@ -1733,42 +1653,13 @@ mod tests {
     }
 
     #[test]
-    fn supervised_lanes_sweep_matches_sequential_bitwise() {
-        let s = space(SaturationCondition::Statistical).with_mode(SweepMode::Lanes);
-        let sequential = s.sweep();
-        for jobs in [1, 4] {
-            let supervised = s
-                .sweep_supervised(&ExecPolicy::with_jobs(jobs))
-                .expect("supervised lanes sweep");
-            assert_eq!(supervised.value, sequential, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn lanes_single_point_matches_the_lanes_sweep() {
-        // `evaluate` falls back to the scalar kernel in lanes mode; the
-        // lane kernel's scalar-equivalence contract makes that invisible.
-        let s = space(SaturationCondition::Statistical)
-            .with_grid(10)
-            .with_mode(SweepMode::Lanes);
-        let grid = s.sweep_grid();
-        let axis = s.axis();
-        for (i, &vov_cs) in axis.iter().enumerate().step_by(3) {
-            for (j, &vov_sw) in axis.iter().enumerate().step_by(4) {
-                let solo = s.evaluate(vov_cs, vov_sw);
-                assert_eq!(solo, grid.point(i * axis.len() + j), "({i}, {j})");
-            }
-        }
-    }
-
-    #[test]
-    fn reference_sweep_agrees_with_warm_kernel() {
-        let warm = space(SaturationCondition::Statistical).with_grid(8);
-        let reference = warm.clone().with_mode(SweepMode::Reference);
-        let (wg, _) = warm.sweep_with_stats();
+    fn reference_sweep_agrees_with_lanes_kernel() {
+        let lanes = space(SaturationCondition::Statistical).with_grid(8);
+        let reference = lanes.clone().with_mode(SweepMode::Reference);
+        let (lg, _) = lanes.sweep_with_stats();
         let (rg, rs) = reference.sweep_with_stats();
         assert!(rs.dc_solves > 0);
-        for (a, b) in wg.iter_points().zip(rg.iter_points()) {
+        for (a, b) in lg.iter_points().zip(rg.iter_points()) {
             // Closed-form metrics are the same arithmetic in both kernels.
             assert_eq!(a.feasible, b.feasible);
             assert_eq!(a.reason, b.reason);
@@ -1873,6 +1764,31 @@ mod tests {
                 assert!(evaluated > 0);
             }
             other => panic!("expected empty region, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn headroom_at_or_below_the_axis_floor_is_an_empty_region() {
+        // A swing that leaves V_out,min at or below the 0.05 V floor: the
+        // axis is empty and every search reports an empty region instead
+        // of sizing a device at a negative overdrive.
+        let empty = ExploreError::EmptyFeasibleRegion { evaluated: 0 };
+        for swing in [3.25, 3.4] {
+            let mut spec = DacSpec::paper_12bit();
+            spec.env.v_swing = swing;
+            assert!(spec.env.v_out_min() <= 0.05, "swing {swing}");
+            let s = DesignSpace::new(&spec, SaturationCondition::Statistical).with_grid(6);
+            assert!(s.axis().is_empty());
+            assert_eq!(s.optimize(Objective::MinArea), Err(empty));
+            assert_eq!(s.optimize_adaptive(Objective::MinArea, f64::INFINITY), Err(empty));
+            for jobs in [1, 2] {
+                let sup = s.optimize_supervised(
+                    Objective::MinArea,
+                    f64::INFINITY,
+                    &ExecPolicy::with_jobs(jobs),
+                );
+                assert_eq!(sup.map(|o| o.value), Err(SweepError::Explore(empty)));
+            }
         }
     }
 

@@ -115,12 +115,10 @@ fn trace_of(state: u8) -> Option<TraceMode> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// DC operating-point solves attempted (warm or cold entry).
+    /// DC operating-point solves attempted.
     DcSolves,
     /// Total Newton/bisection iterations across all DC solves.
     DcIterations,
-    /// DC solves converged by the warm-started Newton fast path.
-    DcWarmHits,
     /// DC solves that escalated past the first full-Newton ladder rung
     /// (damped Newton or bisection finished the job).
     DcEscalations,
@@ -185,10 +183,9 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 31] = [
         Counter::DcSolves,
         Counter::DcIterations,
-        Counter::DcWarmHits,
         Counter::DcEscalations,
         Counter::DcFailures,
         Counter::SettlingSolves,
@@ -225,7 +222,6 @@ impl Counter {
         match self {
             Counter::DcSolves => "circuit.dc.solves",
             Counter::DcIterations => "circuit.dc.iterations",
-            Counter::DcWarmHits => "circuit.dc.warm_hits",
             Counter::DcEscalations => "circuit.dc.escalations",
             Counter::DcFailures => "circuit.dc.failures",
             Counter::SettlingSolves => "circuit.settling.solves",

@@ -26,12 +26,12 @@
 #    journal while reproducing the clean single-threaded results
 #    bit-for-bit (crates/bench/src/bin/fault_smoke.rs).
 # 5. Bench smoke: sweep_bench on a reduced grid must emit a
-#    schema-complete BENCH_sweep.json (reference, warm and lanes arms)
-#    and stay within the Newton iteration budget recorded in the
-#    checked-in baseline — a solver-effort regression fails here before
-#    it shows up as wall-clock noise. The checked-in baseline must also
-#    keep the lane kernel's recorded speedup over the reference kernel
-#    at or above its validated floor.
+#    schema-complete BENCH_sweep.json (reference and lanes arms) and
+#    keep the lane kernel within the Newton iteration budget recorded
+#    in the checked-in baseline — a solver-effort regression fails here
+#    before it shows up as wall-clock noise. The checked-in baseline
+#    must also keep the lane kernel's recorded speedup over the
+#    reference kernel at or above its validated floor.
 # 6. MC bench smoke: mc_bench with reduced trials must emit a
 #    schema-complete BENCH_mc.json, prove batched-vs-reference and
 #    lanes-vs-reference bit-identity, and stay within the per-trial work
@@ -149,10 +149,9 @@ fi
 smoke_json="${TMPDIR:-/tmp}/ctsdac_bench_smoke.json"
 cargo run --offline -q -p ctsdac-bench --bin sweep_bench -- \
     --grid 8 --reps 2 --out "$smoke_json" --budget "$budget"
-for key in '"schema": "ctsdac-sweep-bench-v1"' '"reference"' '"warm"' \
-           '"lanes"' '"adaptive"' '"speedup_warm_over_reference"' \
-           '"speedup_lanes_over_reference"' \
-           '"iteration_budget_per_solve"' '"warm_hits"'; do
+for key in '"schema": "ctsdac-sweep-bench-v2"' '"reference"' '"lanes"' \
+           '"adaptive"' '"speedup_lanes_over_reference"' \
+           '"iteration_budget_per_solve"' '"iters_per_solve"' '"dc_solves"'; do
     if ! grep -q "$key" "$smoke_json"; then
         echo "FAIL: $smoke_json is missing $key"
         exit 1

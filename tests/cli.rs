@@ -111,6 +111,30 @@ fn empty_design_space_exits_3_with_one_line_diagnostic() {
 }
 
 #[test]
+fn swing_above_the_supply_is_an_empty_simple_space_at_any_job_count() {
+    // A 3.4 V swing on a 3.3 V supply puts V_out,min below the 0.05 V
+    // axis floor: the simple search must report an empty design space on
+    // the sequential and the supervised path, not size a device at a
+    // negative overdrive.
+    for jobs in ["1", "2"] {
+        let run = dacsizer(&["--swing", "3.4", "--topology", "simple", "--jobs", jobs]);
+        assert_eq!(run.code, Some(3), "--jobs {jobs}: stderr: {}", run.stderr);
+        assert!(!run.stderr.contains("panicked"), "--jobs {jobs}: {}", run.stderr);
+        let diagnostic: Vec<&str> = run
+            .stderr
+            .lines()
+            .filter(|l| l.starts_with("error: "))
+            .collect();
+        assert_eq!(diagnostic.len(), 1, "--jobs {jobs}: stderr: {}", run.stderr);
+        assert!(
+            diagnostic[0].contains("no admissible design point"),
+            "--jobs {jobs}: stderr: {}",
+            run.stderr
+        );
+    }
+}
+
+#[test]
 fn eight_bit_run_chooses_simple_cell() {
     let run = dacsizer(&["--bits", "8", "--binary", "3", "--grid", "8"]);
     assert!(run.ok());

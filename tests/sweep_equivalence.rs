@@ -1,23 +1,37 @@
-//! Acceptance tests for the sweep-kernel overhaul: the warm-started dense
-//! sweep must be bit-identical to the cold-started one — sequentially, on
-//! the supervised pool at any job count, and with injected faults in
-//! flight — and the coarse-to-fine adaptive sweep must land on the same
-//! optimum as the dense grid to within one grid cell.
+//! Acceptance tests for the production sweep: the lanes sweep (the
+//! `DesignSpace` default) must be bit-identical to the scalar cold kernel
+//! (`DesignSpace::evaluate` mapped over the grid) — sequentially, on the
+//! supervised pool with its shared switch table at any job count, with
+//! injected faults in flight and across a kill-and-resume — a journal of
+//! the reference kernel must never splice into a production run, and the
+//! coarse-to-fine adaptive sweep must land on the same optimum as the
+//! dense grid to within one grid cell.
 
-use ctsdac::core::explore::{DesignPoint, DesignSpace, Objective, SweepMode};
+use ctsdac::core::explore::{DesignPoint, DesignSpace, Objective, SweepError, SweepMode};
 use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::DacSpec;
-use ctsdac::runtime::{ExecPolicy, FaultPlan};
+use ctsdac::runtime::{truncate_tail, ExecPolicy, FaultPlan, JournalError, RuntimeError};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 const GRID: usize = 16;
 
-fn space(mode: SweepMode) -> DesignSpace {
+fn space() -> DesignSpace {
     let spec = DacSpec::paper_12bit();
-    DesignSpace::new(&spec, SaturationCondition::Statistical)
-        .with_grid(GRID)
-        .with_mode(mode)
+    DesignSpace::new(&spec, SaturationCondition::Statistical).with_grid(GRID)
+}
+
+fn tmp(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
+/// The scalar oracle: every lattice point evaluated on its own, row-major.
+fn scalar_sweep(s: &DesignSpace) -> Vec<DesignPoint> {
+    let axis = s.axis();
+    axis.iter()
+        .flat_map(|&vov_cs| axis.iter().map(move |&vov_sw| s.evaluate(vov_cs, vov_sw)))
+        .collect()
 }
 
 /// Asserts two sweeps agree in every bit of every field.
@@ -53,47 +67,122 @@ fn assert_bitwise_eq(a: &[DesignPoint], b: &[DesignPoint], label: &str) {
     }
 }
 
-/// Warm starts are a pure accelerant: the warm sweep reproduces the cold
-/// sweep bit for bit, sequentially and on the pool at 1 and 8 jobs.
+/// The lanes sweep reproduces the scalar kernel bit for bit, sequentially
+/// and on the pool at 1, 2 and 8 jobs.
 #[test]
-fn warm_sweep_is_bit_identical_to_cold_across_job_counts() {
-    let cold = space(SweepMode::Cold).sweep();
-    let warm = space(SweepMode::Warm);
+fn lanes_sweep_is_bit_identical_to_the_scalar_kernel_across_job_counts() {
+    let lanes = space();
+    assert_eq!(lanes.mode(), SweepMode::Lanes, "production default");
+    let scalar = scalar_sweep(&lanes);
+    assert!(scalar.iter().any(|p| p.feasible && p.dc_i_out > 0.0));
 
-    assert_bitwise_eq(&warm.sweep(), &cold, "sequential warm vs cold");
-    for jobs in [1usize, 8] {
-        let sup = warm
+    assert_bitwise_eq(&lanes.sweep(), &scalar, "sequential lanes vs scalar");
+    for jobs in [1usize, 2, 8] {
+        let sup = lanes
             .sweep_supervised(&ExecPolicy::with_jobs(jobs))
-            .expect("supervised warm sweep");
-        assert_bitwise_eq(&sup.value, &cold, &format!("warm jobs={jobs} vs cold"));
+            .expect("supervised lanes sweep");
+        assert_bitwise_eq(&sup.value, &scalar, &format!("lanes jobs={jobs} vs scalar"));
     }
 }
 
-/// Fault injection (worker panics, a stalled chunk past its deadline)
-/// triggers retries — and retried rows restart from a cold seed, so the
-/// warm-start chain must not leak state across the retry boundary.
+/// Fault injection (worker panics, a NaN-corrupted row, a stalled chunk
+/// past its deadline) triggers retries; retried rows rerun against the
+/// same shared switch table and must reproduce the sequential sweep.
 #[test]
-fn warm_sweep_survives_injected_faults_bit_identically() {
-    let cold = space(SweepMode::Cold).sweep();
-    let warm = space(SweepMode::Warm);
+fn supervised_sweep_survives_injected_faults_bit_identically() {
+    let lanes = space();
+    let sequential = lanes.sweep();
+    for jobs in [1usize, 2, 8] {
+        let plan = Arc::new(
+            FaultPlan::new()
+                .panic_at(1)
+                .nan_at(3)
+                .panic_at(6)
+                .nan_at(GRID as u64 - 1)
+                .delay_ms_at(4, 150),
+        );
+        let mut policy = ExecPolicy::with_jobs(jobs);
+        policy.pool.deadline = Some(Duration::from_millis(50));
+        policy.pool.faults = Some(plan.clone());
 
-    let plan = Arc::new(FaultPlan::new().panic_at(1).panic_at(6).delay_ms_at(4, 150));
-    let mut policy = ExecPolicy::with_jobs(8);
-    policy.pool.deadline = Some(Duration::from_millis(50));
-    policy.pool.faults = Some(plan.clone());
+        let faulty = lanes.sweep_supervised(&policy).expect("faulty lanes sweep");
+        assert!(plan.fired() >= 5, "jobs={jobs}: only {} faults fired", plan.fired());
+        assert!(
+            faulty.faults.len() >= 5,
+            "jobs={jobs}: faults not surfaced: {:?}",
+            faulty.faults
+        );
+        assert_eq!(
+            faulty.computed, GRID as u64,
+            "jobs={jobs}: every row computed exactly once"
+        );
+        let label = format!("faulty jobs={jobs} vs sequential");
+        assert_bitwise_eq(&faulty.value, &sequential, &label);
+    }
+}
 
-    let faulty = warm.sweep_supervised(&policy).expect("faulty warm sweep");
-    assert!(plan.fired() >= 3, "only {} faults fired", plan.fired());
-    assert!(
-        faulty.faults.len() >= 3,
-        "faults not surfaced: {:?}",
-        faulty.faults
-    );
-    assert_eq!(
-        faulty.computed, GRID as u64,
-        "every row computed exactly once"
-    );
-    assert_bitwise_eq(&faulty.value, &cold, "faulty warm vs cold");
+/// Kill-and-resume: a checkpointed run dies when one row exhausts its
+/// retries, its journal loses a torn tail, and a clean resume at 1, 2 or
+/// 8 jobs splices the surviving rows with the recomputed ones into the
+/// sequential sweep's bits.
+#[test]
+fn supervised_sweep_resumes_bit_identically_after_a_kill() {
+    let lanes = space();
+    let sequential = lanes.sweep();
+    for jobs in [1usize, 2, 8] {
+        let journal = tmp(&format!("sweep_equivalence_kill_j{jobs}.jsonl"));
+        let _ = std::fs::remove_file(&journal);
+
+        let mut policy = ExecPolicy::with_jobs(jobs).checkpoint_at(&journal);
+        let attempts = policy.pool.retries + 1;
+        policy.pool.faults = Some(Arc::new(FaultPlan::new().panic_at_for(11, attempts)));
+        match lanes.sweep_supervised(&policy) {
+            Err(SweepError::Runtime(RuntimeError::ChunkFailed { chunk: 11, .. })) => {}
+            other => panic!("jobs={jobs}: expected the run to die on row 11, got {other:?}"),
+        }
+        truncate_tail(&journal, 13).expect("tear the journal tail");
+
+        let resumed = lanes
+            .sweep_supervised(&ExecPolicy::with_jobs(jobs).checkpoint_at(&journal).resuming())
+            .expect("resumed lanes sweep");
+        assert!(resumed.restored > 0, "jobs={jobs}: resume restored nothing");
+        assert!(resumed.computed > 0, "jobs={jobs}: the dead row must be recomputed");
+        assert_eq!(
+            resumed.restored + resumed.computed,
+            GRID as u64,
+            "jobs={jobs}: rows lost or double-counted across resume"
+        );
+        assert_bitwise_eq(&resumed.value, &sequential, &format!("resumed jobs={jobs}"));
+        let _ = std::fs::remove_file(&journal);
+    }
+}
+
+/// The reference kernel differs from the lanes kernel in the last bits, so
+/// the journal identity includes the mode: a production resume refuses a
+/// reference journal with a typed mismatch instead of splicing its rows.
+#[test]
+fn reference_journal_is_refused_by_a_production_resume() {
+    let journal = tmp("sweep_equivalence_reference.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    space()
+        .with_mode(SweepMode::Reference)
+        .sweep_supervised(&ExecPolicy::with_jobs(2).checkpoint_at(&journal))
+        .expect("reference sweep journaled");
+
+    let resume = ExecPolicy::with_jobs(2).checkpoint_at(&journal).resuming();
+    let resumed = space().sweep_supervised(&resume);
+    match resumed {
+        Err(SweepError::Runtime(RuntimeError::Journal(JournalError::MetaMismatch {
+            expected,
+            found,
+            ..
+        }))) => {
+            assert!(expected.contains("mode=Lanes"), "{expected}");
+            assert!(found.contains("mode=Reference"), "{found}");
+        }
+        other => panic!("expected a journal identity mismatch, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&journal);
 }
 
 /// The adaptive sweep refines every feasibility boundary and the objective
@@ -101,14 +190,14 @@ fn warm_sweep_survives_injected_faults_bit_identically() {
 /// cell of the dense sweep's — for both objectives.
 #[test]
 fn adaptive_optimum_is_within_one_cell_of_dense() {
-    let warm = space(SweepMode::Warm);
+    let lanes = space();
     let step = {
-        let axis = warm.axis();
+        let axis = lanes.axis();
         axis[1] - axis[0]
     };
     for objective in [Objective::MinArea, Objective::MaxSpeed] {
-        let dense = warm.optimize(objective).expect("dense optimum");
-        let adaptive = warm
+        let dense = lanes.optimize(objective).expect("dense optimum");
+        let adaptive = lanes
             .optimize_adaptive(objective, f64::INFINITY)
             .expect("adaptive optimum");
         assert!(adaptive.feasible, "{objective:?}: adaptive optimum infeasible");
@@ -132,8 +221,7 @@ fn adaptive_optimum_is_within_one_cell_of_dense() {
 /// point count it stands in for.
 #[test]
 fn adaptive_sweep_evaluates_a_strict_subset() {
-    let warm = space(SweepMode::Warm);
-    let sweep = warm.sweep_adaptive(Objective::MinArea);
+    let sweep = space().sweep_adaptive(Objective::MinArea);
     assert_eq!(sweep.dense_equivalent, GRID * GRID);
     assert!(
         sweep.evaluated < sweep.dense_equivalent,
