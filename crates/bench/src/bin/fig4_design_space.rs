@@ -1,14 +1,7 @@
 //! Regenerates the fig4_design_space experiment (see DESIGN.md experiment
 //! index). `--jobs N` evaluates the cascode surface on the supervised
-//! worker pool; the output is identical for every job count. `--adaptive`
-//! appends `# adaptive:` summary lines comparing the coarse-to-fine
-//! simple-topology sweep against the dense grid.
+//! worker pool; the output is identical for every job count.
 fn main() {
-    let (adaptive, rest): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a == "--adaptive");
-    let jobs = ctsdac_bench::jobs_from_args(rest.into_iter());
+    let jobs = ctsdac_bench::jobs_from_args(std::env::args().skip(1));
     print!("{}", ctsdac_bench::fig4_design_space_jobs(jobs));
-    if !adaptive.is_empty() {
-        print!("{}", ctsdac_bench::fig4_adaptive_summary());
-    }
 }

@@ -4,8 +4,8 @@
 //! sweep_bench [--grid N] [--reps R] [--out PATH] [--budget ITERS]
 //! ```
 //!
-//! Times three evaluation strategies on the same overdrive plane and writes
-//! the measurements as `BENCH_sweep.json`:
+//! Times two dense-sweep kernels and the optimum search on the same
+//! overdrive plane and writes the measurements as `BENCH_sweep.json`:
 //!
 //! * `reference` — the pre-overhaul kernel and the sweep's oracle:
 //!   central-difference Jacobians, fixed-depth bisection settling, every
@@ -13,8 +13,11 @@
 //! * `lanes` — the production kernel: analytic Jacobians, CS devices sized
 //!   per row and switch devices per sweep, and each row's DC solves batched
 //!   through eight-wide structure-of-arrays lanes ([`SweepMode::Lanes`]);
-//! * `adaptive` — the coarse-to-fine sweep that densifies only near the
-//!   feasibility boundary and the objective optimum.
+//! * `optimum` — `DesignSpace::optimize(MinArea)`, the best-first search
+//!   every simple-cell flow runs: a closed-form pass over every point, the
+//!   metric chain on the visited candidates only, and one DC solve on the
+//!   winner. Its `dc_solves` and `points` come from the metrics registry
+//!   on one extra untimed run.
 //!
 //! `--budget ITERS` turns the run into a regression gate: if the lane
 //! kernel's mean Newton iterations per DC solve exceed the budget, the JSON
@@ -154,16 +157,24 @@ fn main() -> ExitCode {
     let reference = time_dense(&base.clone().with_mode(SweepMode::Reference), args.reps);
     let lanes = time_dense(&base, args.reps);
 
-    // Adaptive: best-of-reps wall time on the MinArea refinement.
-    let mut adaptive_wall = f64::INFINITY;
-    let mut sweep = base.sweep_adaptive(Objective::MinArea);
+    // Optimum: best-of-reps wall time of the MinArea search, then one
+    // untimed run with the registry live to count its work.
+    let mut optimum_wall = f64::INFINITY;
     for _ in 0..args.reps {
         let t0 = Instant::now();
-        sweep = base.sweep_adaptive(Objective::MinArea);
-        let dt = t0.elapsed().as_secs_f64();
-        if dt < adaptive_wall {
-            adaptive_wall = dt;
-        }
+        let _ = base.optimize(Objective::MinArea);
+        optimum_wall = optimum_wall.min(t0.elapsed().as_secs_f64());
+    }
+    obs::reset();
+    obs::set_metrics(true);
+    let optimum = base.optimize(Objective::MinArea);
+    let optimum_solves = obs::counter_value(obs::Counter::DcSolves);
+    let optimum_points = obs::counter_value(obs::Counter::SweepPoints);
+    obs::set_metrics(false);
+    obs::reset();
+    if let Err(e) = optimum {
+        eprintln!("error: the bench plane has no optimum: {e}");
+        return ExitCode::from(1);
     }
 
     // Observability overhead: the lanes dense sweep with the metrics
@@ -207,25 +218,16 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "    \"reference\": {},", dense_json(&reference));
     let _ = writeln!(json, "    \"lanes\": {}", dense_json(&lanes));
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"adaptive\": {{");
-    let _ = writeln!(json, "    \"wall_s\": {:.6e},", adaptive_wall);
-    let _ = writeln!(json, "    \"evaluated\": {},", sweep.evaluated);
-    let _ = writeln!(
-        json,
-        "    \"dense_equivalent\": {},",
-        sweep.dense_equivalent
-    );
-    let _ = writeln!(json, "    \"levels\": {},", sweep.levels);
+    let _ = writeln!(json, "  \"optimum\": {{");
+    let _ = writeln!(json, "    \"objective\": \"min_area\",");
+    let _ = writeln!(json, "    \"wall_s\": {optimum_wall:.6e},");
+    let _ = writeln!(json, "    \"points\": {optimum_points},");
     let _ = writeln!(
         json,
         "    \"points_per_sec\": {:.1},",
-        sweep.evaluated as f64 / adaptive_wall
+        optimum_points as f64 / optimum_wall
     );
-    let _ = writeln!(
-        json,
-        "    \"iters_per_solve\": {:.3}",
-        sweep.stats.iterations_per_solve()
-    );
+    let _ = writeln!(json, "    \"dc_solves\": {optimum_solves}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"obs\": {{");
     let _ = writeln!(json, "    \"disabled_wall_s\": {obs_disabled_wall:.6e},");
@@ -279,11 +281,11 @@ fn main() -> ExitCode {
         lanes_iters,
     );
     println!(
-        "adaptive       : {} of {} lattice points in {:.3} ms over {} levels",
-        sweep.evaluated,
-        sweep.dense_equivalent,
-        adaptive_wall * 1e3,
-        sweep.levels,
+        "optimum        : {} points, {} DC solves in {:.3} ms ({:.1}x faster than the dense lanes sweep)",
+        optimum_points,
+        optimum_solves,
+        optimum_wall * 1e3,
+        lanes.wall_s / optimum_wall,
     );
     println!("speedup lanes/reference: {speedup_lanes:.2}x");
     println!(

@@ -253,40 +253,6 @@ pub fn fig4_design_space_jobs(jobs: usize) -> String {
     report
 }
 
-/// FIG4-ADAPT — coarse-to-fine adaptive refinement of the simple-topology
-/// overdrive plane: how many lattice points the boundary-hugging sweep
-/// evaluates versus the dense grid, and the optimum it lands on. Emitted
-/// as `# adaptive:` summary lines appended to the FIG4 report when the
-/// `fig4_design_space` binary runs with `--adaptive`.
-pub fn fig4_adaptive_summary() -> String {
-    const GRID: usize = 33;
-    let spec = DacSpec::paper_12bit();
-    let space = DesignSpace::new(&spec, SaturationCondition::Statistical).with_grid(GRID);
-    let mut report = String::new();
-    for (name, objective) in [
-        ("min-area", Objective::MinArea),
-        ("max-speed", Objective::MaxSpeed),
-    ] {
-        let sweep = space.sweep_adaptive(objective);
-        let best = space
-            .optimize_adaptive(objective, f64::INFINITY)
-            .expect("paper design space is feasible");
-        writeln!(
-            report,
-            "# adaptive: {name} evaluated {}/{} lattice points over {} levels \
-             ({:.1} Newton iters/solve); optimum Vov_CS = {:.3} V, Vov_SW = {:.3} V",
-            sweep.evaluated,
-            sweep.dense_equivalent,
-            sweep.levels,
-            sweep.stats.iterations_per_solve(),
-            best.vov_cs,
-            best.vov_sw
-        )
-        .expect("write");
-    }
-    report
-}
-
 /// AREA-CMP — the §5 area-saving claim, for both topologies, plus the
 /// σ-combination ablation.
 pub fn area_comparison() -> String {

@@ -10,29 +10,40 @@
 //!
 //! # Hot path
 //!
-//! The sweep is the dominant cost of the whole flow, so its kernel is
-//! organised for throughput without giving up determinism:
+//! The optimum search runs on every simple-cell flow and sizing request,
+//! so both production kernels are organised for throughput without giving
+//! up determinism:
 //!
 //! * spec-level invariants (the yield deviate, headroom, segmentation
 //!   constants) are hoisted out of the per-point loop; the CS devices — a
 //!   function of `V_OD,CS` only — are sized once per grid row, and the
-//!   switch devices — a function of `V_OD,SW` only — once per sweep, in a
+//!   switch devices — a function of `V_OD,SW` only — once per search, in a
 //!   column table shared by every row (sequential and supervised alike);
-//! * each point solves the optimum bias fixed point once, sharing it
-//!   between the pole model and the output-impedance evaluation;
-//! * every candidate point is *DC-verified* by the Newton solver of
-//!   `ctsdac_circuit::dc`. A row defers its solves and batches them through
-//!   the lane-wide kernel (`solve_simple_lanes`, [`SweepMode::Lanes`]),
-//!   which returns the scalar cold solver's bits; single points
-//!   ([`DesignSpace::evaluate`]) and the adaptive lattice call the scalar
-//!   solver directly. Chunks are grid rows, so the sweep is bit-identical
-//!   for any `--jobs` count;
-//! * results land in a flat struct-of-arrays [`DesignGrid`];
-//! * [`DesignSpace::sweep_adaptive`] offers a coarse-to-fine mode that only
-//!   densifies near the feasibility boundary and the objective optimum.
+//! * each evaluated point solves the optimum bias fixed point once,
+//!   sharing it between the pole model and the output-impedance
+//!   evaluation; this metric chain exists once and serves every kernel;
+//! * the optimum ([`DesignSpace::optimize`] and its constrained and
+//!   supervised forms) is a best-first search. A closed-form pass scores
+//!   every point of a row without a DC solve (the area objective is
+//!   geometry only); the row's candidates are then visited in descending
+//!   (score, column) order until one is feasible within the settling
+//!   bound. The best row winner — later row on ties, the dense scan's
+//!   rule — is *DC-verified* once by the Newton solver of
+//!   `ctsdac_circuit::dc`, the analogue of the paper's SPICE check of the
+//!   chosen design. The result is bit-identical to selecting over the
+//!   dense sweep;
+//! * the dense sweep ([`DesignSpace::sweep`], Fig. 3, the Pareto front)
+//!   DC-verifies every point with a bias point: a row defers its solves
+//!   and batches them through the lane-wide kernel (`solve_simple_lanes`,
+//!   [`SweepMode::Lanes`]), which returns the scalar cold solver's bits;
+//!   single points ([`DesignSpace::evaluate`]) call the scalar solver;
+//! * chunks are grid rows, so sweeps and optima are bit-identical for any
+//!   `--jobs` count; dense results land in a flat struct-of-arrays
+//!   [`DesignGrid`].
 //!
 //! [`SweepMode::Reference`], the pre-optimization kernel, is the one
-//! oracle: it agrees with the production sweep to solver tolerance.
+//! oracle: it agrees with the production sweep to solver tolerance, and
+//! its optimum is still a dense scan.
 
 use crate::saturation::SaturationCondition;
 use crate::sizing::{
@@ -50,9 +61,9 @@ use ctsdac_circuit::poles::PoleModel;
 use ctsdac_circuit::settling::{settling_time_two_pole, settling_time_two_pole_bisect};
 use ctsdac_obs as obs;
 use ctsdac_runtime::{
-    decode_f64, encode_f64, run_journaled, ExecPolicy, JournalMeta, RuntimeError, Supervised,
+    decode_f64, encode_f64, run_journaled, ChunkCtx, ExecPolicy, JournalMeta, RuntimeError,
+    Supervised,
 };
-use std::collections::BTreeMap;
 
 /// Why a grid point is excluded from the feasible set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,8 +191,10 @@ pub struct DesignPoint {
     /// DC output impedance of the unary cell at the optimum bias, in Ω.
     pub rout: f64,
     /// Output current of the unary cell as verified by the Newton DC solver
-    /// at the optimum bias, in A. Zero when no bias point exists or the
-    /// solve failed; informational only — it never changes `feasible`.
+    /// at the optimum bias, in A. Filled for every point of a dense sweep
+    /// and for the chosen point of an optimum search; zero when no bias
+    /// point exists or the solve failed. Informational only — it never
+    /// changes `feasible` or the choice of optimum.
     pub dc_i_out: f64,
     /// True when the DC solver confirmed every device of the unary cell in
     /// saturation at the optimum bias. Informational only.
@@ -220,20 +233,20 @@ pub enum Objective {
 pub enum SweepMode {
     /// The production kernel. Rows run the closed-form metric chain per
     /// point with the CS devices hoisted per row and the switch devices per
-    /// sweep, and batch the row's deferred DC solves through the lane-wide
-    /// Newton kernel (`solve_simple_lanes`) in fixed-width groups. Single
-    /// points ([`DesignSpace::evaluate`], the adaptive lattice) run the
-    /// scalar cold kernel. Both produce the same bits in every
-    /// [`DesignPoint`] field and the same solver counters, by the lane
-    /// kernel's scalar-equivalence contract.
+    /// sweep; dense rows batch their deferred DC solves through the
+    /// lane-wide Newton kernel (`solve_simple_lanes`) in fixed-width
+    /// groups, and optimum searches run the best-first row pass. Single
+    /// points ([`DesignSpace::evaluate`]) run the scalar cold kernel. All
+    /// produce the same bits in every [`DesignPoint`] field and the same
+    /// solver counters, by the lane kernel's scalar-equivalence contract.
     #[default]
     Lanes,
     /// The pre-optimization baseline and the one oracle: central-difference
     /// Jacobians, fixed-depth bisection settling, no fixed-point polish,
     /// and no memoization — every point recomputes its sizing, margin, and
-    /// bias from scratch. Agrees with [`SweepMode::Lanes`] to solver
-    /// tolerance but not bitwise; kept as a cross-check and as
-    /// `sweep_bench`'s baseline.
+    /// bias from scratch, and the optimum is a scan of the dense sweep.
+    /// Agrees with [`SweepMode::Lanes`] to solver tolerance but not
+    /// bitwise; kept as a cross-check and as `sweep_bench`'s baseline.
     Reference,
 }
 
@@ -275,18 +288,12 @@ impl SweepStats {
         self.dc_iterations as f64 / self.dc_solves as f64
     }
 
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &SweepStats) {
-        self.dc_solves += other.dc_solves;
-        self.dc_iterations += other.dc_iterations;
-        self.dc_failures += other.dc_failures;
-    }
 }
 
 /// Flat struct-of-arrays storage of an evaluated sweep: one allocation per
 /// column instead of building intermediate per-point rows, and columnar
-/// access for objective scans (`pareto_front`, `optimize`) that only touch
-/// two or three metrics out of nine.
+/// scans (`pareto_front`) that only touch two or three metrics out of
+/// nine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DesignGrid {
     vov_cs: Vec<f64>,
@@ -369,38 +376,6 @@ impl DesignGrid {
         (0..self.len()).map(|i| self.point(i)).collect()
     }
 
-    /// The total-area column.
-    pub fn total_area(&self) -> &[f64] {
-        &self.total_area
-    }
-
-    /// The dominant-pole column.
-    pub fn min_pole_hz(&self) -> &[f64] {
-        &self.min_pole_hz
-    }
-
-    /// The infeasibility-reason column (`None` = feasible).
-    pub fn reason(&self) -> &[Option<InfeasibleReason>] {
-        &self.reason
-    }
-}
-
-/// Result of a coarse-to-fine adaptive sweep ([`DesignSpace::sweep_adaptive`]).
-#[derive(Debug, Clone)]
-pub struct AdaptiveSweep {
-    /// Every lattice point evaluated, sorted by grid index (row-major).
-    /// All points sit on the dense sweep's lattice, so each one is
-    /// bit-identical to the corresponding dense-sweep point.
-    pub points: Vec<DesignPoint>,
-    /// Number of lattice points evaluated.
-    pub evaluated: usize,
-    /// Points the dense sweep of the same grid would evaluate (`grid²`).
-    pub dense_equivalent: usize,
-    /// Refinement levels processed (stride halvings, including the coarse
-    /// pass).
-    pub levels: usize,
-    /// DC-solver effort across the evaluated points.
-    pub stats: SweepStats,
 }
 
 /// Grid explorer over the simple-topology overdrive plane.
@@ -502,18 +477,12 @@ impl DesignSpace {
     /// corresponding dense-sweep point (the lane kernel returns the scalar
     /// solver's bits).
     pub fn evaluate(&self, vov_cs: f64, vov_sw: f64) -> DesignPoint {
-        self.evaluate_counted(vov_cs, vov_sw, &mut SweepStats::default())
-    }
-
-    /// [`Self::evaluate`] accumulating solver effort into `stats`; shared
-    /// with the adaptive lattice.
-    fn evaluate_counted(&self, vov_cs: f64, vov_sw: f64, stats: &mut SweepStats) -> DesignPoint {
+        let mut stats = SweepStats::default();
         if self.mode == SweepMode::Reference {
-            return self.evaluate_reference(vov_cs, vov_sw, stats);
+            return self.evaluate_reference(vov_cs, vov_sw, &mut stats);
         }
-        let ctx = SweepCtx::new(self);
         let unit = CsSizing::for_spec(&self.spec, vov_cs);
-        self.evaluate_in(&ctx, &unit, vov_sw, stats)
+        self.evaluate_in(&SweepCtx::new(self), &unit, vov_sw, &mut stats)
     }
 
     /// The scalar cold point kernel. `unit` is the CS sizing (a function of
@@ -536,38 +505,17 @@ impl DesignSpace {
                 .admits_simple_prepared(spec, &lsb_cell, ctx.s_factor, vov_cs, vov_sw);
         // The bias point must also exist for the *nominal* devices.
         let has_bias = vov_cs + vov_sw < ctx.v_out_min;
-        let mut reason = if !admits {
-            Some(InfeasibleReason::ConstraintViolated)
-        } else if !has_bias {
-            Some(InfeasibleReason::NoBiasPoint)
-        } else {
-            None
-        };
-        let total_area = total_analog_area_from_lsb(spec, &lsb_cell);
-        let mut metrics = (0.0, f64::INFINITY, 0.0);
+        let mut metrics = None;
         let mut dc = (0.0, false);
         if has_bias {
             let cell = build_simple_cell_with_unit(spec, unit, vov_sw, ctx.unary_weight);
-            let mut failed = true;
-            // One bias fixed point shared by the pole model, the impedance
-            // evaluation, and the DC verification gate voltage.
-            if let Ok(opt) = OptimumBias::of(&cell, &spec.env) {
-                let poles = PoleModel::new(ctx.cells_at_output)
-                    .poles_with_bias(&cell, &spec.env, &opt);
-                let rout = rout_at_optimum_with_bias(&cell, &spec.env, &opt);
-                if let (Ok(p), Ok(r)) = (poles, rout) {
-                    let f_min = p.dominant_hz();
-                    let ts = settling_time_two_pole(&p, spec.n_bits);
-                    if f_min.is_finite() && f_min > 0.0 && ts.is_finite() && r.is_finite() {
-                        metrics = (f_min, ts, r);
-                        failed = false;
-                    }
-                }
-                // DC verification. Informational — a solver failure keeps
-                // the closed-form feasibility verdict, it does not retag
-                // the point.
+            let (v_gate_sw, m) = ctx.metric_chain(spec, &cell);
+            metrics = m;
+            // DC verification. Informational — a solver failure keeps the
+            // closed-form feasibility verdict, it does not retag the point.
+            if let Some(v_gate_sw) = v_gate_sw {
                 stats.dc_solves += 1;
-                match solve_simple(&cell, &spec.env, opt.v_gate_sw) {
+                match solve_simple(&cell, &spec.env, v_gate_sw) {
                     Ok(op) => {
                         stats.dc_iterations += op.iterations as u64;
                         dc = (op.i_out, op.all_saturated());
@@ -575,26 +523,11 @@ impl DesignSpace {
                     Err(_) => stats.dc_failures += 1,
                 }
             }
-            // A failure on a point the constraints already excluded keeps
-            // its constraint-side reason; only candidates are retagged.
-            if failed && reason.is_none() {
-                reason = Some(InfeasibleReason::NumericalFailure);
-            }
         }
-        let (min_pole_hz, settling_s, rout) = metrics;
-        let (dc_i_out, dc_saturated) = dc;
-        DesignPoint {
-            vov_cs,
-            vov_sw,
-            feasible: reason.is_none(),
-            reason,
-            total_area,
-            min_pole_hz,
-            settling_s,
-            rout,
-            dc_i_out,
-            dc_saturated,
-        }
+        let total_area = total_analog_area_from_lsb(spec, &lsb_cell);
+        let mut p = closed_form_point(vov_cs, vov_sw, admits, has_bias, total_area, metrics);
+        (p.dc_i_out, p.dc_saturated) = dc;
+        p
     }
 
     /// The pre-optimization point kernel, kept verbatim as the baseline:
@@ -684,13 +617,10 @@ impl DesignSpace {
         }
     }
 
-    /// The [`SweepMode::Lanes`] row kernel. Phase A walks the row's
-    /// closed-form metric chain per point — with the CS geometry (a
-    /// function of `vov_cs` and the cell weight only) hoisted out of the
-    /// loop and the switch geometry (a function of `vov_sw` and the weight
-    /// only) read from the sweep's column table `cols` — and defers every
-    /// DC solve; phase B batches the deferred solves through the lane-wide
-    /// Newton kernel in groups of `W`.
+    /// The [`SweepMode::Lanes`] dense row kernel. Phase A walks the row's
+    /// closed-form metric chain per point through [`RowKernel`] and defers
+    /// every DC solve; phase B batches the deferred solves through the
+    /// lane-wide Newton kernel in groups of `W`.
     ///
     /// Every [`DesignPoint`] is bit-identical to the scalar
     /// [`Self::evaluate_in`] result: the hoisted cell assembly reproduces
@@ -705,86 +635,27 @@ impl DesignSpace {
         cols: &SwColumns,
         stats: &mut SweepStats,
     ) -> Vec<DesignPoint> {
-        let spec = &self.spec;
-        let ctx = SweepCtx::new(self);
-        let unit = CsSizing::for_spec(spec, vov_cs);
-        // Row-constant CS devices: one per cell weight used in the row.
-        let cs_lsb = sized_cs_with_unit(spec, &unit, 1);
-        let cs_unary = sized_cs_with_unit(spec, &unit, ctx.unary_weight);
-        // One batched count per row: totals stay jobs- and W-invariant.
-        obs::count(obs::Counter::SweepPoints, axis.len() as u64);
+        let kernel = RowKernel::new(self, vov_cs, axis, cols);
         let mut row = Vec::with_capacity(axis.len());
         // Deferred DC work, SoA: target row index, unary cell, gate voltage.
         let mut dc_idx: Vec<usize> = Vec::with_capacity(axis.len());
         let mut dc_cells: Vec<SizedCell> = Vec::with_capacity(axis.len());
         let mut dc_gates: Vec<f64> = Vec::with_capacity(axis.len());
-        // The LSB cell never materializes in the lane kernel: the admission
-        // test and area objective both reduce to the weight-1 device gate
-        // areas (bit-identical geometry variants of the prepared forms).
-        let wl_cs = cs_lsb.area();
-        for (j, &vov_sw) in axis.iter().enumerate() {
-            let wl_sw = cols.lsb[j].area();
-            let admits = self.condition.admits_simple_geometry(
-                spec, wl_cs, wl_sw, ctx.s_factor, vov_cs, vov_sw,
-            );
-            let has_bias = vov_cs + vov_sw < ctx.v_out_min;
-            let mut reason = if !admits {
-                Some(InfeasibleReason::ConstraintViolated)
-            } else if !has_bias {
-                Some(InfeasibleReason::NoBiasPoint)
-            } else {
-                None
-            };
-            let total_area = total_analog_area_from_geometry(spec, wl_cs, wl_sw);
-            let mut metrics = (0.0, f64::INFINITY, 0.0);
-            if has_bias {
-                let cell = build_simple_cell_with_devices(
-                    spec,
-                    &unit,
-                    &cs_unary,
-                    &cols.unary[j],
-                    vov_sw,
-                    ctx.unary_weight,
-                );
-                let mut failed = true;
-                if let Ok(opt) = OptimumBias::of(&cell, &spec.env) {
-                    let poles = PoleModel::new(ctx.cells_at_output)
-                        .poles_with_bias(&cell, &spec.env, &opt);
-                    let rout = rout_at_optimum_with_bias(&cell, &spec.env, &opt);
-                    if let (Ok(p), Ok(r)) = (poles, rout) {
-                        let f_min = p.dominant_hz();
-                        let ts = settling_time_two_pole(&p, spec.n_bits);
-                        if f_min.is_finite() && f_min > 0.0 && ts.is_finite() && r.is_finite() {
-                            metrics = (f_min, ts, r);
-                            failed = false;
-                        }
-                    }
-                    dc_idx.push(row.len());
+        for j in 0..axis.len() {
+            let mut metrics = None;
+            if kernel.has_bias(j) {
+                let (cell, v_gate_sw, m) = kernel.chain(j);
+                metrics = m;
+                if let Some(v_gate_sw) = v_gate_sw {
+                    dc_idx.push(j);
                     dc_cells.push(cell);
-                    dc_gates.push(opt.v_gate_sw);
-                }
-                // Feasibility never depends on the (deferred) DC solve —
-                // same rule as the scalar kernel.
-                if failed && reason.is_none() {
-                    reason = Some(InfeasibleReason::NumericalFailure);
+                    dc_gates.push(v_gate_sw);
                 }
             }
-            let (min_pole_hz, settling_s, rout) = metrics;
-            row.push(DesignPoint {
-                vov_cs,
-                vov_sw,
-                feasible: reason.is_none(),
-                reason,
-                total_area,
-                min_pole_hz,
-                settling_s,
-                rout,
-                dc_i_out: 0.0,
-                dc_saturated: false,
-            });
+            row.push(kernel.point(j, kernel.admits(j), metrics));
         }
         // Phase B: lane-batched DC verification, informational only.
-        for (k, result) in solve_simple_lanes::<W>(&dc_cells, &spec.env, &dc_gates)
+        for (k, result) in solve_simple_lanes::<W>(&dc_cells, &self.spec.env, &dc_gates)
             .into_iter()
             .enumerate()
         {
@@ -851,6 +722,11 @@ impl DesignSpace {
     /// trade: minimise area *subject to* the 400 MS/s settling target.
     /// A non-positive bound admits nothing and reports an empty region.
     ///
+    /// In [`SweepMode::Lanes`] this is the best-first search of the module
+    /// docs, with one DC solve on the winner; its result, errors included,
+    /// is bit-identical to a scan of the dense sweep, which
+    /// [`SweepMode::Reference`] still runs.
+    ///
     /// # Errors
     ///
     /// As [`DesignSpace::optimize`].
@@ -859,8 +735,89 @@ impl DesignSpace {
         objective: Objective,
         max_settling: f64,
     ) -> Result<DesignPoint, ExploreError> {
-        let grid = self.sweep_grid();
-        select_best(grid.iter_points(), objective, max_settling)
+        if self.mode == SweepMode::Reference {
+            return select_best(self.sweep_grid().iter_points(), objective, max_settling);
+        }
+        let _span = obs::span("core.optimum.search");
+        let axis = self.axis();
+        let cols = SwColumns::build(&self.spec, &axis);
+        let rows: Vec<RowBest> = axis
+            .iter()
+            .map(|&vov_cs| {
+                self.scan_row(vov_cs, &axis, &cols, objective)
+                    .best(objective, max_settling)
+            })
+            .collect();
+        self.verified_winner(&rows, objective, axis.len())
+    }
+
+    /// Closed-form pass of one row for the optimum search: every column's
+    /// area, and the points with a bias point scored under `objective`. A
+    /// min-area row defers even the admission test to the visit; the speed
+    /// and impedance scores run the metric chain on admissible points.
+    fn scan_row<'a>(
+        &'a self,
+        vov_cs: f64,
+        axis: &'a [f64],
+        cols: &'a SwColumns,
+        objective: Objective,
+    ) -> RowScan<'a> {
+        let kernel = RowKernel::new(self, vov_cs, axis, cols);
+        let areas: Vec<f64> = (0..axis.len()).map(|j| kernel.area(j)).collect();
+        let mut cands = Vec::new();
+        for (j, &area) in areas.iter().enumerate() {
+            if !kernel.has_bias(j) {
+                continue;
+            }
+            cands.push(match objective {
+                Objective::MinArea => (-area, j, None),
+                _ if !kernel.admits(j) => continue,
+                _ => match kernel.chain(j).2 {
+                    Some(m) => (score(&kernel.point(j, true, Some(m)), objective), j, Some(m)),
+                    // A failing chain can never win: it sorts last, and
+                    // fails again (and is counted) if the visit reaches it.
+                    None => (f64::NEG_INFINITY, j, None),
+                },
+            });
+        }
+        RowScan {
+            kernel,
+            areas,
+            cands,
+        }
+    }
+
+    /// The best row winner, picked by `select_best` (ties go to the later
+    /// row) and DC-verified by one scalar Newton solve — or the error
+    /// `select_best` would report over the `g²` points of the dense sweep.
+    fn verified_winner(
+        &self,
+        rows: &[RowBest],
+        objective: Objective,
+        g: usize,
+    ) -> Result<DesignPoint, ExploreError> {
+        let winners = rows.iter().filter_map(|r| r.best);
+        let mut p = select_best(winners, objective, f64::INFINITY).map_err(|_| {
+            let failed = rows.iter().map(|r| r.failed).sum();
+            let evaluated = g * g;
+            if failed > 0 {
+                ExploreError::NumericalFailure { failed, evaluated }
+            } else {
+                ExploreError::EmptyFeasibleRegion { evaluated }
+            }
+        })?;
+        // The scalar cold solve on the directly built cell: the bits the
+        // dense sweep's lane kernel stores for this point.
+        let unit = CsSizing::for_spec(&self.spec, p.vov_cs);
+        let cell =
+            build_simple_cell_with_unit(&self.spec, &unit, p.vov_sw, self.spec.unary_weight());
+        if let Ok(opt) = OptimumBias::of(&cell, &self.spec.env) {
+            if let Ok(op) = solve_simple(&cell, &self.spec.env, opt.v_gate_sw) {
+                p.dc_i_out = op.i_out;
+                p.dc_saturated = op.all_saturated();
+            }
+        }
+        Ok(p)
     }
 
     /// The area–speed Pareto front of the admissible region: feasible
@@ -870,129 +827,6 @@ impl DesignSpace {
     /// designer actually chooses from.
     pub fn pareto_front(&self) -> Vec<DesignPoint> {
         pareto_of_grid(&self.sweep_grid())
-    }
-
-    /// Coarse-to-fine adaptive sweep: evaluates a coarse sub-lattice of the
-    /// dense grid, then repeatedly halves the stride — but only inside
-    /// blocks whose corners disagree on feasibility (the constraint
-    /// boundary) or which contain the best point seen so far under
-    /// `objective`. Every evaluated point lies on the dense lattice, so
-    /// points are bit-identical to their dense-sweep counterparts; the mode
-    /// trades completeness away from the boundary/optimum for wall time.
-    ///
-    /// Refinement always reaches stride 1 around the surviving blocks, so
-    /// the adaptive optimum matches the dense optimum whenever the
-    /// objective's optimum sits on the feasibility boundary (all three
-    /// shipped objectives do) — and is never off by more than one coarse
-    /// block otherwise.
-    pub fn sweep_adaptive(&self, objective: Objective) -> AdaptiveSweep {
-        let _span = obs::span("core.sweep.adaptive");
-        let axis = self.axis();
-        let g = axis.len();
-        let mut stats = SweepStats::default();
-        let mut memo: BTreeMap<(usize, usize), DesignPoint> = BTreeMap::new();
-        // Root block spans the whole index square (none on an empty
-        // axis); blocks split at their midpoint per axis, so every corner
-        // stays on the dense lattice.
-        let mut blocks: Vec<(usize, usize, usize, usize)> = match g {
-            0 => Vec::new(),
-            _ => vec![(0, g - 1, 0, g - 1)],
-        };
-        let mut levels = 0usize;
-        while !blocks.is_empty() {
-            levels += 1;
-            // Evaluate all corners of the current blocks (deterministic
-            // order: blocks are pushed and scanned in row-major order).
-            for &(i0, i1, j0, j1) in &blocks {
-                for (i, j) in [(i0, j0), (i0, j1), (i1, j0), (i1, j1)] {
-                    // Lattice node (i, j): axis index i is vov_cs, j is
-                    // vov_sw, evaluated by the scalar kernel, so the point
-                    // is bit-identical to its dense counterpart.
-                    if !memo.contains_key(&(i, j)) {
-                        let p = self.evaluate_counted(axis[i], axis[j], &mut stats);
-                        memo.insert((i, j), p);
-                    }
-                }
-            }
-            // Current best under the objective, with the same scoring and
-            // tie rules as `select_best` (ties keep the later point in
-            // row-major order).
-            let mut best: Option<((usize, usize), f64)> = None;
-            for (&ij, p) in &memo {
-                if !p.feasible {
-                    continue;
-                }
-                let k = score(p, objective);
-                if !k.is_finite() {
-                    continue;
-                }
-                let better = match best {
-                    Some((_, kb)) => !k.total_cmp(&kb).is_lt(),
-                    None => true,
-                };
-                if better {
-                    best = Some((ij, k));
-                }
-            }
-            let mut next = Vec::new();
-            for &(i0, i1, j0, j1) in &blocks {
-                let span_i = i1 - i0;
-                let span_j = j1 - j0;
-                if span_i <= 1 && span_j <= 1 {
-                    continue; // fully refined
-                }
-                let corner_feasible: Vec<bool> = [(i0, j0), (i0, j1), (i1, j0), (i1, j1)]
-                    .iter()
-                    .filter_map(|ij| memo.get(ij))
-                    .map(|p| p.feasible)
-                    .collect();
-                let mixed = corner_feasible.iter().any(|&f| f)
-                    && corner_feasible.iter().any(|&f| !f);
-                let holds_best = match best {
-                    Some(((bi, bj), _)) => {
-                        (i0..=i1).contains(&bi) && (j0..=j1).contains(&bj)
-                    }
-                    None => false,
-                };
-                if !(mixed || holds_best) {
-                    continue;
-                }
-                let mi = (i0 + i1) / 2;
-                let mj = (j0 + j1) / 2;
-                let i_cuts = if span_i > 1 { vec![(i0, mi), (mi, i1)] } else { vec![(i0, i1)] };
-                let j_cuts = if span_j > 1 { vec![(j0, mj), (mj, j1)] } else { vec![(j0, j1)] };
-                for &(a0, a1) in &i_cuts {
-                    for &(b0, b1) in &j_cuts {
-                        next.push((a0, a1, b0, b1));
-                    }
-                }
-            }
-            blocks = next;
-        }
-        let points: Vec<DesignPoint> = memo.into_values().collect();
-        AdaptiveSweep {
-            evaluated: points.len(),
-            dense_equivalent: g * g,
-            levels,
-            stats,
-            points,
-        }
-    }
-
-    /// Best feasible point of an adaptive sweep — the fast-path analogue of
-    /// [`DesignSpace::optimize_constrained`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DesignSpace::optimize`], with `evaluated` reflecting the
-    /// adaptive point count.
-    pub fn optimize_adaptive(
-        &self,
-        objective: Objective,
-        max_settling: f64,
-    ) -> Result<DesignPoint, ExploreError> {
-        let sweep = self.sweep_adaptive(objective);
-        select_best(sweep.points.iter().copied(), objective, max_settling)
     }
 
     /// Digest of everything that determines sweep results, used as the
@@ -1028,16 +862,6 @@ impl DesignSpace {
         &self,
         policy: &ExecPolicy,
     ) -> Result<Supervised<Vec<DesignPoint>>, SweepError> {
-        self.sweep_supervised_scored(policy, None)
-    }
-
-    /// Supervised sweep that additionally publishes the best feasible
-    /// objective score seen so far through the pool's progress gauge.
-    fn sweep_supervised_scored(
-        &self,
-        policy: &ExecPolicy,
-        gauge_objective: Option<Objective>,
-    ) -> Result<Supervised<Vec<DesignPoint>>, SweepError> {
         let _span = obs::span("core.sweep.supervised");
         let axis = self.axis();
         // One switch table for every chunk, exactly as the dense sweep.
@@ -1060,41 +884,26 @@ impl DesignSpace {
                 // produces identical bits. Per-row solver stats stay local:
                 // the journaled payload carries only the design points.
                 let mut row_stats = SweepStats::default();
-                let mut row = self.evaluate_row::<LANE_W>(vov_cs, &axis, &cols, &mut row_stats);
+                let row = self.evaluate_row::<LANE_W>(vov_cs, &axis, &cols, &mut row_stats);
                 ctx.add_units(row.len() as u64);
-                if ctx.injected_nan() {
-                    if let Some(p) = row.first_mut() {
-                        p.total_area = f64::NAN;
-                    }
-                }
-                for p in &row {
-                    if !p.total_area.is_finite() {
-                        return Err(format!(
-                            "non-finite area at ({:.3} V, {:.3} V)",
-                            p.vov_cs, p.vov_sw
-                        ));
-                    }
-                }
-                if let Some(objective) = gauge_objective {
-                    for p in row.iter().filter(|p| p.feasible) {
-                        let k = score(p, objective);
-                        if k.is_finite() {
-                            ctx.publish_gauge(k, f64::max);
-                        }
-                    }
-                }
+                check_row_areas(ctx, vov_cs, &axis, row.iter().map(|p| p.total_area))?;
                 Ok(row)
             },
         )?;
         Ok(out.map(|rows| rows.into_iter().flatten().collect()))
     }
 
-    /// [`DesignSpace::optimize_constrained`] over a supervised sweep.
+    /// [`DesignSpace::optimize_constrained`] under runtime supervision: grid
+    /// rows are the chunks, each journaling only its winner and failure
+    /// count (journal kind `"optimum"`, identity bound to the objective and
+    /// settling bound) and publishing the winner's score to the progress
+    /// gauge. Bit-identical to the sequential search for any job count and
+    /// across resume. [`SweepMode::Reference`] scans its supervised sweep.
     ///
     /// # Errors
     ///
     /// [`SweepError::Runtime`] when supervision fails;
-    /// [`SweepError::Explore`] when the sweep succeeds but admits no
+    /// [`SweepError::Explore`] when the search succeeds but admits no
     /// feasible point.
     pub fn optimize_supervised(
         &self,
@@ -1102,21 +911,43 @@ impl DesignSpace {
         max_settling: f64,
         policy: &ExecPolicy,
     ) -> Result<Supervised<DesignPoint>, SweepError> {
-        let Supervised {
-            value,
-            faults,
-            restored,
-            computed,
-            dropped,
-        } = self.sweep_supervised_scored(policy, Some(objective))?;
-        let best = select_best(value, objective, max_settling)?;
-        Ok(Supervised {
-            value: best,
-            faults,
-            restored,
-            computed,
-            dropped,
-        })
+        if self.mode == SweepMode::Reference {
+            let out = self.sweep_supervised(policy)?;
+            let best = select_best(out.value.iter().copied(), objective, max_settling)?;
+            return Ok(out.map(|_| best));
+        }
+        let _span = obs::span("core.optimum.search");
+        let axis = self.axis();
+        let cols = SwColumns::build(&self.spec, &axis);
+        let meta = JournalMeta {
+            kind: "optimum".into(),
+            seed: 0,
+            chunks: axis.len() as u64,
+            params: format!(
+                "{};objective={objective:?};max_settling={}",
+                self.params_digest(),
+                encode_f64(max_settling)
+            ),
+        };
+        let out = run_journaled(
+            policy,
+            &meta,
+            decode_row_best,
+            encode_row_best,
+            |ctx| {
+                let vov_cs = axis[ctx.chunk as usize];
+                let scan = self.scan_row(vov_cs, &axis, &cols, objective);
+                ctx.add_units(axis.len() as u64);
+                check_row_areas(ctx, vov_cs, &axis, scan.areas.iter().copied())?;
+                let row = scan.best(objective, max_settling);
+                if let Some(p) = &row.best {
+                    ctx.publish_gauge(score(p, objective), f64::max);
+                }
+                Ok(row)
+            },
+        )?;
+        let best = self.verified_winner(&out.value, objective, axis.len())?;
+        Ok(out.map(|_| best))
     }
 
     /// [`DesignSpace::pareto_front`] over a supervised sweep.
@@ -1128,7 +959,11 @@ impl DesignSpace {
         &self,
         policy: &ExecPolicy,
     ) -> Result<Supervised<Vec<DesignPoint>>, SweepError> {
-        Ok(self.sweep_supervised(policy)?.map(pareto_of))
+        Ok(self.sweep_supervised(policy)?.map(|pts| {
+            let mut grid = DesignGrid::with_capacity(pts.len());
+            pts.into_iter().for_each(|p| grid.push(p));
+            pareto_of_grid(&grid)
+        }))
     }
 
     /// The constraint curve: for each grid `vov_cs`, the largest admissible
@@ -1174,6 +1009,191 @@ impl SweepCtx {
             cells_at_output: space.spec.cells_at_output(),
         }
     }
+
+    /// The metric chain of one unary cell, shared by every production
+    /// kernel: optimum bias, then poles and output impedance at that bias,
+    /// then settling. Returns the bias point's switch gate voltage (for the
+    /// DC solve) and the metrics, each `None` when it fails.
+    fn metric_chain(&self, spec: &DacSpec, cell: &SizedCell) -> (Option<f64>, Option<Metrics>) {
+        let Ok(opt) = OptimumBias::of(cell, &spec.env) else {
+            return (None, None);
+        };
+        let poles = PoleModel::new(self.cells_at_output).poles_with_bias(cell, &spec.env, &opt);
+        let rout = rout_at_optimum_with_bias(cell, &spec.env, &opt);
+        let mut metrics = None;
+        if let (Ok(p), Ok(r)) = (poles, rout) {
+            let f_min = p.dominant_hz();
+            let ts = settling_time_two_pole(&p, spec.n_bits);
+            if f_min.is_finite() && f_min > 0.0 && ts.is_finite() && r.is_finite() {
+                metrics = Some((f_min, ts, r));
+            }
+        }
+        (Some(opt.v_gate_sw), metrics)
+    }
+}
+
+/// `(min_pole_hz, settling_s, rout)` of a point whose metric chain
+/// succeeded.
+type Metrics = (f64, f64, f64);
+
+/// Assembles a point without DC fields. A failed (`None`) chain retags a
+/// candidate as a numerical failure; a point the constraints already
+/// exclude keeps its constraint-side reason.
+fn closed_form_point(
+    vov_cs: f64,
+    vov_sw: f64,
+    admits: bool,
+    has_bias: bool,
+    total_area: f64,
+    metrics: Option<Metrics>,
+) -> DesignPoint {
+    let reason = if !admits {
+        Some(InfeasibleReason::ConstraintViolated)
+    } else if !has_bias {
+        Some(InfeasibleReason::NoBiasPoint)
+    } else if metrics.is_none() {
+        Some(InfeasibleReason::NumericalFailure)
+    } else {
+        None
+    };
+    let (min_pole_hz, settling_s, rout) = metrics.unwrap_or((0.0, f64::INFINITY, 0.0));
+    DesignPoint {
+        vov_cs,
+        vov_sw,
+        feasible: reason.is_none(),
+        reason,
+        total_area,
+        min_pole_hz,
+        settling_s,
+        rout,
+        dc_i_out: 0.0,
+        dc_saturated: false,
+    }
+}
+
+/// Row-constant state of the [`SweepMode::Lanes`] row kernels: the CS
+/// devices hoisted out of the column loop and the sweep's switch table.
+/// The LSB cell never materializes: admission and area reduce to the
+/// weight-1 gate areas (bit-identical geometry forms).
+struct RowKernel<'a> {
+    space: &'a DesignSpace,
+    ctx: SweepCtx,
+    axis: &'a [f64],
+    cols: &'a SwColumns,
+    unit: CsSizing,
+    wl_cs: f64,
+    cs_unary: ctsdac_process::mosfet::Mosfet,
+}
+
+impl<'a> RowKernel<'a> {
+    fn new(space: &'a DesignSpace, vov_cs: f64, axis: &'a [f64], cols: &'a SwColumns) -> Self {
+        let ctx = SweepCtx::new(space);
+        let unit = CsSizing::for_spec(&space.spec, vov_cs);
+        // One batched count per row: totals stay jobs- and W-invariant.
+        obs::count(obs::Counter::SweepPoints, axis.len() as u64);
+        Self {
+            wl_cs: sized_cs_with_unit(&space.spec, &unit, 1).area(),
+            cs_unary: sized_cs_with_unit(&space.spec, &unit, ctx.unary_weight),
+            space,
+            ctx,
+            axis,
+            cols,
+            unit,
+        }
+    }
+
+    /// The saturation condition at column `j` (the statistical margin's
+    /// sigmas from the LSB device gate areas).
+    fn admits(&self, j: usize) -> bool {
+        self.space.condition.admits_simple_geometry(
+            &self.space.spec,
+            self.wl_cs,
+            self.cols.lsb[j].area(),
+            self.ctx.s_factor,
+            self.unit.vov(),
+            self.axis[j],
+        )
+    }
+
+    /// Whether the nominal devices of column `j` have a bias point.
+    fn has_bias(&self, j: usize) -> bool {
+        self.unit.vov() + self.axis[j] < self.ctx.v_out_min
+    }
+
+    fn area(&self, j: usize) -> f64 {
+        total_analog_area_from_geometry(&self.space.spec, self.wl_cs, self.cols.lsb[j].area())
+    }
+
+    /// The unary cell of column `j` and its metric chain.
+    fn chain(&self, j: usize) -> (SizedCell, Option<f64>, Option<Metrics>) {
+        let cell = build_simple_cell_with_devices(
+            &self.space.spec,
+            &self.unit,
+            &self.cs_unary,
+            &self.cols.unary[j],
+            self.axis[j],
+            self.ctx.unary_weight,
+        );
+        let (v_gate_sw, metrics) = self.ctx.metric_chain(&self.space.spec, &cell);
+        (cell, v_gate_sw, metrics)
+    }
+
+    /// The point of column `j` without DC fields (see
+    /// [`closed_form_point`]); `admits` is [`Self::admits`] or known.
+    fn point(&self, j: usize, admits: bool, metrics: Option<Metrics>) -> DesignPoint {
+        let (vov_cs, vov_sw) = (self.unit.vov(), self.axis[j]);
+        closed_form_point(vov_cs, vov_sw, admits, self.has_bias(j), self.area(j), metrics)
+    }
+}
+
+/// One row after the optimum search's closed-form pass
+/// ([`DesignSpace::scan_row`]).
+struct RowScan<'a> {
+    kernel: RowKernel<'a>,
+    /// Total area of every column.
+    areas: Vec<f64>,
+    /// `(score, column, metrics)` of every point to visit. `None` metrics
+    /// mark an entry whose admission test and chain run at the visit.
+    cands: Vec<(f64, usize, Option<Metrics>)>,
+}
+
+/// A row's contribution to the optimum: its winner, if any (without DC
+/// fields), and the failures `select_best` would count on the way.
+struct RowBest {
+    best: Option<DesignPoint>,
+    failed: usize,
+}
+
+impl RowScan<'_> {
+    /// The best-first pass: candidates in descending (score, column)
+    /// order — `select_best`'s tie rule — until the first one that is
+    /// admissible and that `select_best` accepts (feasible after its
+    /// metric chain, settling within `max_settling`, finite score).
+    /// Skipped points `select_best` counts as failed count here too.
+    fn best(mut self, objective: Objective, max_settling: f64) -> RowBest {
+        self.cands
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+        let mut failed = 0;
+        for &(_, j, metrics) in &self.cands {
+            let metrics = match metrics {
+                Some(m) => Some(m),
+                None if !self.kernel.admits(j) => continue,
+                None => self.kernel.chain(j).2,
+            };
+            // `select_best` on the single point applies its own rule.
+            match select_best([self.kernel.point(j, true, metrics)], objective, max_settling) {
+                Ok(p) => {
+                    return RowBest {
+                        best: Some(p),
+                        failed,
+                    }
+                }
+                Err(ExploreError::NumericalFailure { .. }) => failed += 1,
+                Err(ExploreError::EmptyFeasibleRegion { .. }) => {}
+            }
+        }
+        RowBest { best: None, failed }
+    }
 }
 
 /// Column-constant switch devices of a lanes sweep: the switch geometry
@@ -1197,6 +1217,23 @@ impl SwColumns {
     }
 }
 
+/// Fails a supervised row chunk (so the pool retries it) on a non-finite
+/// area anywhere in the row; an injected `nan@` fault poisons the first.
+fn check_row_areas(
+    ctx: &ChunkCtx<'_>,
+    vov_cs: f64,
+    axis: &[f64],
+    areas: impl Iterator<Item = f64>,
+) -> Result<(), String> {
+    let poisoned = ctx.injected_nan();
+    for (j, area) in areas.enumerate() {
+        if (poisoned && j == 0) || !area.is_finite() {
+            return Err(format!("non-finite area at ({vov_cs:.3} V, {:.3} V)", axis[j]));
+        }
+    }
+    Ok(())
+}
+
 fn score(p: &DesignPoint, objective: Objective) -> f64 {
     match objective {
         Objective::MinArea => -p.total_area,
@@ -1205,10 +1242,13 @@ fn score(p: &DesignPoint, objective: Objective) -> f64 {
     }
 }
 
-/// Best feasible point of an evaluated sweep — shared by the sequential,
-/// supervised, and adaptive optimisers so all apply identical selection
-/// rules.
-fn select_best(
+/// Best feasible point of an evaluated sweep: the feasible point with the
+/// highest finite score among those settling within `max_settling`, ties
+/// going to the later point. The [`SweepMode::Reference`] optimum, and the
+/// rule the best-first search reproduces bit for bit (the optimum
+/// differential suite holds it to this function over the dense sweep).
+#[doc(hidden)]
+pub fn select_best(
     pts: impl IntoIterator<Item = DesignPoint>,
     objective: Objective,
     max_settling: f64,
@@ -1247,26 +1287,10 @@ fn select_best(
     }
 }
 
-/// Area–speed Pareto front of an evaluated sweep — shared by the
-/// sequential and supervised front builders.
-fn pareto_of(pts: Vec<DesignPoint>) -> Vec<DesignPoint> {
-    let mut feasible: Vec<DesignPoint> = pts.into_iter().filter(|p| p.feasible).collect();
-    feasible.sort_by(|a, b| a.total_area.total_cmp(&b.total_area));
-    let mut front: Vec<DesignPoint> = Vec::new();
-    let mut best_speed = f64::NEG_INFINITY;
-    for p in feasible {
-        if p.min_pole_hz > best_speed {
-            best_speed = p.min_pole_hz;
-            front.push(p);
-        }
-    }
-    front
-}
-
-/// [`pareto_of`] over struct-of-arrays storage: sorts feasible *indices* by
-/// the area column and materialises only the surviving front points, so no
-/// intermediate point vector is allocated. Matches [`pareto_of`] exactly
-/// (same stable sort, same comparator, same scan).
+/// Area–speed Pareto front of an evaluated sweep, shared by the
+/// sequential and supervised front builders: sorts feasible *indices* by
+/// the area column and materialises only the surviving front points, so
+/// no intermediate point vector is allocated.
 fn pareto_of_grid(grid: &DesignGrid) -> Vec<DesignPoint> {
     let mut idx: Vec<usize> = (0..grid.len())
         .filter(|&i| grid.reason[i].is_none())
@@ -1351,6 +1375,22 @@ fn encode_row(row: &Vec<DesignPoint>) -> String {
 
 fn decode_row(s: &str) -> Option<Vec<DesignPoint>> {
     s.split(';').map(decode_point).collect()
+}
+
+/// Journal payload of an optimum row: `failed;point`, with `-` for a row
+/// that has no winner.
+fn encode_row_best(row: &RowBest) -> String {
+    let best = row.best.as_ref().map_or("-".into(), encode_point);
+    format!("{};{best}", row.failed)
+}
+
+fn decode_row_best(s: &str) -> Option<RowBest> {
+    let (failed, best) = s.split_once(';')?;
+    let best = if best == "-" { None } else { Some(decode_point(best)?) };
+    Some(RowBest {
+        failed: failed.parse().ok()?,
+        best,
+    })
 }
 
 #[cfg(test)]
@@ -1605,6 +1645,15 @@ mod tests {
         }
         let enc = encode_point(&s.evaluate(0.3, 0.4));
         assert_eq!(decode_point(&format!("{enc}:00")), None, "extra field accepted");
+        // Optimum journal rows: a winner plus a failure count, or none.
+        for (best, failed) in [(Some(s.evaluate(0.3, 0.4)), 2), (None, 0)] {
+            let back = decode_row_best(&encode_row_best(&RowBest { best, failed }));
+            let back = back.expect("decodes");
+            assert_eq!((back.best, back.failed), (best, failed));
+        }
+        for bad in ["", "-", "x;-", "1;", "1;x", &enc] {
+            assert!(decode_row_best(bad).is_none(), "accepted {bad:?}");
+        }
     }
 
     #[test]
@@ -1615,10 +1664,12 @@ mod tests {
         assert_eq!(s.mode(), SweepMode::Lanes, "production default");
         let (grid, ls) = s.sweep_with_stats();
         let axis = s.axis();
+        let ctx = SweepCtx::new(&s);
         let mut scalar = SweepStats::default();
         for (i, &vov_cs) in axis.iter().enumerate() {
+            let unit = CsSizing::for_spec(s.spec(), vov_cs);
             for (j, &vov_sw) in axis.iter().enumerate() {
-                let p = s.evaluate_counted(vov_cs, vov_sw, &mut scalar);
+                let p = s.evaluate_in(&ctx, &unit, vov_sw, &mut scalar);
                 let q = grid.point(i * axis.len() + j);
                 assert_eq!(p.dc_i_out.to_bits(), q.dc_i_out.to_bits(), "at ({i}, {j})");
                 assert_eq!(p.rout.to_bits(), q.rout.to_bits());
@@ -1709,9 +1760,7 @@ mod tests {
         assert!(!grid.is_empty());
         for (i, p) in pts.iter().enumerate() {
             assert_eq!(grid.point(i), *p);
-            assert_eq!(grid.total_area()[i].to_bits(), p.total_area.to_bits());
-            assert_eq!(grid.min_pole_hz()[i].to_bits(), p.min_pole_hz.to_bits());
-            assert_eq!(grid.reason()[i], p.reason);
+            assert_eq!(grid.point(i).total_area.to_bits(), p.total_area.to_bits());
         }
         let collected: Vec<DesignPoint> = grid.iter_points().collect();
         assert_eq!(collected, pts);
@@ -1719,52 +1768,22 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_sweep_finds_the_dense_optimum() {
+    fn best_first_ties_go_to_the_later_column() {
+        // Exact score ties within a row are rare on real grids, so force
+        // one: the visit order must then fall back to the later column,
+        // `select_best`'s tie rule.
         let s = space(SaturationCondition::Statistical);
-        for objective in [Objective::MinArea, Objective::MaxSpeed] {
-            let dense = s.optimize(objective).expect("dense optimum");
-            let adaptive = s
-                .optimize_adaptive(objective, f64::INFINITY)
-                .expect("adaptive optimum");
-            let step = (s.vov_max - s.vov_min) / 19.0;
-            assert!(
-                (adaptive.vov_cs - dense.vov_cs).abs() <= step + 1e-12
-                    && (adaptive.vov_sw - dense.vov_sw).abs() <= step + 1e-12,
-                "{objective:?}: adaptive {adaptive} vs dense {dense}"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_sweep_evaluates_fewer_points() {
-        let s = space(SaturationCondition::Statistical).with_grid(33);
-        let sweep = s.sweep_adaptive(Objective::MinArea);
-        assert_eq!(sweep.dense_equivalent, 33 * 33);
-        assert_eq!(sweep.evaluated, sweep.points.len());
-        assert!(
-            sweep.evaluated < sweep.dense_equivalent / 2,
-            "adaptive evaluated {} of {}",
-            sweep.evaluated,
-            sweep.dense_equivalent
-        );
-        assert!(sweep.levels > 1);
-        // Every adaptive point coincides bitwise with its dense twin.
         let axis = s.axis();
-        for p in &sweep.points {
-            assert!(axis.iter().any(|&v| v.to_bits() == p.vov_cs.to_bits()));
-            assert!(axis.iter().any(|&v| v.to_bits() == p.vov_sw.to_bits()));
+        let cols = SwColumns::build(&s.spec, &axis);
+        let mut scan = s.scan_row(axis[3], &axis, &cols, Objective::MaxSpeed);
+        let mut last = None;
+        for c in scan.cands.iter_mut().filter(|c| c.2.is_some()) {
+            c.0 = 1.0;
+            last = last.max(Some(c.1));
         }
-    }
-
-    #[test]
-    fn adaptive_empty_region_reports_typed_error() {
-        let s = space(SaturationCondition::Exact).with_range(2.0, 3.0);
-        match s.optimize_adaptive(Objective::MinArea, f64::INFINITY) {
-            Err(ExploreError::EmptyFeasibleRegion { evaluated }) => {
-                assert!(evaluated > 0);
-            }
-            other => panic!("expected empty region, got {other:?}"),
-        }
+        assert!(scan.cands.len() >= 2, "row too small to tie");
+        let row = scan.best(Objective::MaxSpeed, f64::INFINITY);
+        assert_eq!(row.best.map(|p| p.vov_sw), last.map(|j| axis[j]));
     }
 
     #[test]
@@ -1780,7 +1799,6 @@ mod tests {
             let s = DesignSpace::new(&spec, SaturationCondition::Statistical).with_grid(6);
             assert!(s.axis().is_empty());
             assert_eq!(s.optimize(Objective::MinArea), Err(empty));
-            assert_eq!(s.optimize_adaptive(Objective::MinArea, f64::INFINITY), Err(empty));
             for jobs in [1, 2] {
                 let sup = s.optimize_supervised(
                     Objective::MinArea,

@@ -49,11 +49,9 @@ pub struct FlowOptions {
     pub grid: usize,
     /// Intended update rate, used for the settling verdict, S/s.
     pub f_update: f64,
-    /// Use the coarse-to-fine adaptive sweep
-    /// ([`DesignSpace::sweep_adaptive`]) instead of the dense sweep for the
-    /// simple-topology search. Evaluates only the points near the
-    /// feasibility boundary and the objective optimum; the optimum is
-    /// guaranteed to lie within one dense-grid cell of the dense optimum.
+    /// Accepted and ignored, so callers that set it keep building: the
+    /// simple-topology search is always the exact best-first search of
+    /// [`DesignSpace::optimize`].
     pub adaptive: bool,
 }
 
@@ -241,12 +239,7 @@ pub fn run_flow(spec: &DacSpec, options: &FlowOptions) -> Result<DesignReport, F
     let (overdrives, total_area) = match topology {
         CellTopology::Simple => {
             let space = DesignSpace::new(spec, options.condition).with_grid(options.grid);
-            let searched = if options.adaptive {
-                space.optimize_adaptive(options.objective, f64::INFINITY)
-            } else {
-                space.optimize(options.objective)
-            };
-            let p = searched.map_err(|e| match e {
+            let p = space.optimize(options.objective).map_err(|e| match e {
                 ExploreError::EmptyFeasibleRegion { .. } => empty(),
                 ExploreError::NumericalFailure { .. } => FlowError::Numerical {
                     detail: e.to_string(),
@@ -297,13 +290,10 @@ fn check_cancelled(policy: &ExecPolicy) -> Result<(), FlowError> {
 ///
 /// The cascoded volume search is compact (pure arithmetic over the grid,
 /// no solver in the loop) and still runs inline; the returned supervision
-/// record is then empty. The simple-topology path sweeps the overdrive
-/// plane through the supervised pool and is bit-identical to [`run_flow`]
-/// for any job count. An adaptive search (`options.adaptive`) also runs
-/// inline with an empty supervision record: its work list is discovered
-/// level by level, which does not fit the fixed chunk plan of the
-/// checkpoint journal, and it evaluates too few points to benefit from the
-/// pool.
+/// record is then empty. The simple-topology path runs the best-first
+/// optimum search ([`DesignSpace::optimize_supervised`]) with grid rows as
+/// pool chunks and one DC solve on the winner; it is bit-identical to
+/// [`run_flow`] for any job count. `options.adaptive` is ignored.
 ///
 /// # Errors
 ///
@@ -326,28 +316,6 @@ pub fn run_flow_supervised(
         })
     };
     let (overdrives, total_area, supervision) = match topology {
-        CellTopology::Simple if options.adaptive => {
-            let space = DesignSpace::new(spec, options.condition).with_grid(options.grid);
-            let p = space
-                .optimize_adaptive(options.objective, f64::INFINITY)
-                .map_err(|e| match e {
-                    ExploreError::EmptyFeasibleRegion { .. } => empty(),
-                    ExploreError::NumericalFailure { .. } => FlowError::Numerical {
-                        detail: e.to_string(),
-                    },
-                })?;
-            (
-                (p.vov_cs, 0.0, p.vov_sw),
-                p.total_area,
-                Supervised {
-                    value: (),
-                    faults: Vec::new(),
-                    restored: 0,
-                    computed: 0,
-                    dropped: 0,
-                },
-            )
-        }
         CellTopology::Simple => {
             let space = DesignSpace::new(spec, options.condition).with_grid(options.grid);
             let out = space
@@ -629,30 +597,26 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_flow_matches_dense_flow_bitwise() {
-        // The adaptive optimum must land on the same dense-lattice point
-        // here (the MinArea optimum sits on a refined boundary cell), so the
-        // whole report is bit-identical to the dense flow's.
+    fn adaptive_option_is_an_alias_of_the_exact_search() {
         let spec = DacSpec::paper_12bit();
-        let dense = FlowOptions {
+        let exact = FlowOptions {
             topology: TopologyChoice::Simple,
             grid: 20,
             ..Default::default()
         };
-        let adaptive = FlowOptions {
+        let alias = FlowOptions {
             adaptive: true,
-            ..dense
+            ..exact
         };
-        let d = run_flow(&spec, &dense).expect("feasible");
-        let a = run_flow(&spec, &adaptive).expect("feasible");
-        assert_eq!(a.overdrives.0.to_bits(), d.overdrives.0.to_bits());
-        assert_eq!(a.overdrives.2.to_bits(), d.overdrives.2.to_bits());
-        assert_eq!(a.total_area.to_bits(), d.total_area.to_bits());
-
-        let sup = run_flow_supervised(&spec, &adaptive, &ExecPolicy::with_jobs(4))
+        let e = run_flow(&spec, &exact).expect("feasible");
+        let a = run_flow(&spec, &alias).expect("feasible");
+        assert_eq!(a.overdrives.0.to_bits(), e.overdrives.0.to_bits());
+        assert_eq!(a.overdrives.2.to_bits(), e.overdrives.2.to_bits());
+        assert_eq!(a.total_area.to_bits(), e.total_area.to_bits());
+        let sup = run_flow_supervised(&spec, &alias, &ExecPolicy::with_jobs(4))
             .expect("feasible");
-        assert_eq!(sup.value.total_area.to_bits(), d.total_area.to_bits());
-        assert_eq!(sup.computed + sup.restored, 0, "adaptive search runs inline");
+        assert_eq!(sup.value.total_area.to_bits(), e.total_area.to_bits());
+        assert_eq!(sup.computed, exact.grid as u64, "the alias runs on the pool");
     }
 
     #[test]

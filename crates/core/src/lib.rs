@@ -50,7 +50,7 @@ pub mod validate;
 
 pub use bounds::{BoundSigmas, CascodeBoundSigmas};
 pub use explore::{
-    AdaptiveSweep, DesignGrid, DesignPoint, DesignSpace, Objective, SweepMode, SweepStats,
+    DesignGrid, DesignPoint, DesignSpace, Objective, SweepMode, SweepStats,
 };
 pub use flow::{run_flow, DesignReport, FlowOptions, TopologyChoice};
 pub use report::ComparisonReport;

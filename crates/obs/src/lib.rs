@@ -126,7 +126,8 @@ pub enum Counter {
     DcFailures,
     /// Two-pole settling-time solves (bracketed Newton).
     SettlingSolves,
-    /// Design-space grid points evaluated (feasible or not).
+    /// Design-space grid points evaluated or scored in closed form by a
+    /// sweep or optimum search (feasible or not).
     SweepPoints,
     /// Eq. (11) evaluations of the cascoded volume search: grid points
     /// under the overdrive headroom, admissible or not.

@@ -11,6 +11,8 @@
 #    --jobs 1 vs 8. A cascode-differential stage does the same for the
 #    table-driven cascoded volume search: its admissibility mask and both
 #    optima must match a brute-force per-point eq. (11) scan bitwise.
+#    An optimum-differential stage holds the best-first simple-cell
+#    optimum search to select_best over the dense sweep, bit for bit.
 #    A perfbench stage runs the benchmark package's own tests (seeded
 #    inputs, percentile refusals, metric tables matching BENCHMARK.json,
 #    layer isolation of each workload).
@@ -26,10 +28,10 @@
 #    journal while reproducing the clean single-threaded results
 #    bit-for-bit (crates/bench/src/bin/fault_smoke.rs).
 # 5. Bench smoke: sweep_bench on a reduced grid must emit a
-#    schema-complete BENCH_sweep.json (reference and lanes arms) and
-#    keep the lane kernel within the Newton iteration budget recorded
-#    in the checked-in baseline — a solver-effort regression fails here
-#    before it shows up as wall-clock noise. The checked-in baseline
+#    schema-complete BENCH_sweep.json (reference, lanes and optimum
+#    arms) and keep the lane kernel within the Newton iteration budget
+#    recorded in the checked-in baseline — a solver-effort regression
+#    fails here before it shows up as wall-clock noise. The checked-in baseline
 #    must also keep the lane kernel's recorded speedup over the
 #    reference kernel at or above its validated floor.
 # 6. MC bench smoke: mc_bench with reduced trials must emit a
@@ -95,6 +97,16 @@ echo "==> cascode-differential gate (table-driven eq. (11) search vs brute force
 # report from run_flow and run_flow_supervised.
 cargo test --offline -q --test cascode_equivalence
 
+echo "==> optimum-differential gate (best-first simple-cell optimum vs dense scan)"
+# The optimum search scores every point in closed form, visits each
+# row's candidates best first and DC-verifies only the winner. This suite
+# holds it to select_best over the dense sweep: bit-identical optimum
+# DesignPoints (DC fields included) across 8-14 bits, yields 0.9-0.9999,
+# grids 2-96, all objectives, conditions and settling bounds, --jobs 1, 2
+# and 8; equal ExploreError variants and counts on empty and failing
+# spaces; journal identity and kill-and-resume of the supervised search.
+cargo test --offline -q --test optimum_equivalence
+
 echo "==> perfbench tests (benchmark package, offline)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
@@ -150,7 +162,7 @@ smoke_json="${TMPDIR:-/tmp}/ctsdac_bench_smoke.json"
 cargo run --offline -q -p ctsdac-bench --bin sweep_bench -- \
     --grid 8 --reps 2 --out "$smoke_json" --budget "$budget"
 for key in '"schema": "ctsdac-sweep-bench-v2"' '"reference"' '"lanes"' \
-           '"adaptive"' '"speedup_lanes_over_reference"' \
+           '"optimum"' '"speedup_lanes_over_reference"' \
            '"iteration_budget_per_solve"' '"iters_per_solve"' '"dc_solves"'; do
     if ! grep -q "$key" "$smoke_json"; then
         echo "FAIL: $smoke_json is missing $key"

@@ -3,7 +3,7 @@
 //! ```text
 //! dacsizer [--bits N] [--binary B] [--yield Y] [--objective area|speed]
 //!          [--topology auto|simple|cascoded] [--condition statistical|legacy|exact]
-//!          [--rate MS/s] [--grid G] [--adaptive] [--swing V] [--seed S]
+//!          [--rate MS/s] [--grid G] [--swing V] [--seed S]
 //!          [--yield-trials N] [--yield-ci C]
 //!          [--jobs N] [--deadline SECS] [--checkpoint PATH] [--resume]
 //!          [--progress] [--trace[=json|human]] [--metrics-out PATH]
@@ -18,6 +18,10 @@
 //! Prints a markdown design report followed by a seeded Monte-Carlo check of
 //! the saturation yield at the chosen point. Defaults reproduce the paper's
 //! 12-bit, 4+8, 99.7 %-yield design at 400 MS/s.
+//!
+//! The simple-cell search is always exact: it scores every grid point in
+//! closed form and DC-verifies only the chosen design. `--adaptive` is
+//! accepted for compatibility and has no effect.
 //!
 //! `--yield-trials N` sets the trial budget of the yield check (default
 //! 2000). `--yield-ci C` switches the check to a sequential Wilson test at
@@ -113,8 +117,8 @@ struct Args {
     condition: SaturationCondition,
     rate_msps: f64,
     grid: usize,
-    /// Coarse-to-fine adaptive sweep instead of the dense grid (simple
-    /// topology only; the optimum stays within one dense-grid cell).
+    /// `--adaptive`: accepted for compatibility and ignored — the
+    /// simple-cell search is always the exact best-first search.
     adaptive: bool,
     /// Full-scale output swing in V (overrides the paper's 1.0 V).
     swing: Option<f64>,
@@ -453,12 +457,14 @@ fn usage() -> &'static str {
     "usage: dacsizer [--bits N] [--binary B] [--yield Y] \
      [--objective area|speed] [--topology auto|simple|cascoded] \
      [--condition statistical|legacy|exact] [--rate MS/s] [--grid G] \
-     [--adaptive] [--swing V] [--seed S] [--yield-trials N] [--yield-ci C] \
+     [--swing V] [--seed S] [--yield-trials N] [--yield-ci C] \
      [--jobs N] [--deadline SECS] \
      [--checkpoint PATH] [--resume] [--progress] \
      [--trace[=json|human]] [--metrics-out PATH] [--faults SPEC] \
      [--failpoints SPEC] [--failpoint-seed N]\n\
      \x20      dacsizer --serve HOST:PORT   (run the sizing daemon; see dacd --help)\n\
+     the simple-cell search is exact and DC-verifies only the chosen design; \
+     --adaptive is accepted and ignored\n\
      exit codes: 0 ok, 2 invalid arguments, 3 empty design space, \
      4 numerical failure, 5 supervised-runtime failure"
 }

@@ -140,3 +140,31 @@ fn eight_bit_run_chooses_simple_cell() {
     assert!(run.ok());
     assert!(run.stdout.contains("topology: CS+SW"), "{}", run.stdout);
 }
+
+#[test]
+fn simple_search_dc_verifies_only_the_winner_at_any_job_count() {
+    // The best-first optimum scores all 64 x 64 points in closed form and
+    // runs the Newton DC solver once, on the chosen design; the counts sit
+    // in the deterministic section, so they must not move with --jobs.
+    let mut sections = Vec::new();
+    for jobs in ["1", "8"] {
+        let path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("cli_optimum_metrics_j{jobs}.json"));
+        let _ = std::fs::remove_file(&path);
+        let out = path.to_str().expect("utf-8 temp path");
+        let run = dacsizer(&[
+            "--topology", "simple", "--grid", "64", "--jobs", jobs, "--seed", "7",
+            "--metrics-out", out,
+        ]);
+        assert!(run.ok(), "--jobs {jobs}: stderr: {}", run.stderr);
+        let snapshot = std::fs::read_to_string(&path).expect("metrics snapshot written");
+        let start = snapshot.find("\"deterministic\": {").expect("deterministic section");
+        let end = start + snapshot[start..].find("\n  },").expect("section end");
+        let det = snapshot[start..end].to_string();
+        assert!(det.contains("\"circuit.dc.solves\": 1,"), "--jobs {jobs}: {det}");
+        assert!(det.contains("\"core.sweep.points\": 4096,"), "--jobs {jobs}: {det}");
+        sections.push(det);
+        let _ = std::fs::remove_file(&path);
+    }
+    assert_eq!(sections[0], sections[1], "deterministic metrics depend on --jobs");
+}
