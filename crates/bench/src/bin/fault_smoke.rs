@@ -17,9 +17,9 @@ use ctsdac_bench::out_dir;
 use ctsdac_core::explore::DesignSpace;
 use ctsdac_core::saturation::SaturationCondition;
 use ctsdac_core::DacSpec;
-use ctsdac_runtime::{truncate_tail, ExecPolicy, FaultPlan};
+use ctsdac_failpoint::Registry;
+use ctsdac_runtime::{truncate_tail, ExecPolicy};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const GRID: usize = 10;
 
@@ -40,21 +40,23 @@ fn main() -> ExitCode {
 
     // 2. Parallel with injected faults: panics (one persisting a retry),
     //    a stall, and a NaN result — all must be absorbed.
-    let plan = Arc::new(
-        FaultPlan::new()
-            .panic_at(1)
-            .panic_at_for(4, 2)
-            .delay_ms_at(2, 30)
-            .nan_at(7),
-    );
+    let fp = match Registry::armed(
+        "panic@pool.chunk[1]:1,panic@pool.chunk[4]:1,panic@pool.chunk[4]:2,\
+         delay=30@pool.chunk[2]:1,nan@pool.chunk[7]:1",
+        0,
+    ) {
+        Ok(fp) => fp,
+        Err(e) => return fail(&e.to_string()),
+    };
     let mut policy = ExecPolicy::with_jobs(4);
-    policy.pool.faults = Some(plan.clone());
+    policy.pool.failpoints = Some(fp.clone());
     let faulty = match space.sweep_supervised(&policy) {
         Ok(s) => s,
         Err(e) => return fail(&format!("faulty sweep failed: {e}")),
     };
-    if plan.fired() < 4 {
-        return fail(&format!("only {} injected faults fired", plan.fired()));
+    let fired = fp.fired("pool.chunk");
+    if fired < 4 {
+        return fail(&format!("only {fired} injected faults fired"));
     }
     if faulty.faults.is_empty() {
         return fail("no faults were recorded despite injection");

@@ -42,6 +42,13 @@ impl TwoPoles {
         let two_pi = 2.0 * core::f64::consts::PI;
         (1.0 / (two_pi * self.p1_hz), 1.0 / (two_pi * self.p2_hz))
     }
+
+    /// True when both time constants are finite and strictly positive —
+    /// the precondition of the settling solvers, which panic otherwise.
+    pub fn has_valid_taus(&self) -> bool {
+        let (t1, t2) = self.taus();
+        t1.is_finite() && t1 > 0.0 && t2.is_finite() && t2 > 0.0
+    }
 }
 
 impl fmt::Display for TwoPoles {

@@ -57,7 +57,7 @@ use ctsdac_circuit::bias::OptimumBias;
 use ctsdac_circuit::cell::SizedCell;
 use ctsdac_circuit::dc::{solve_simple, solve_simple_lanes, solve_simple_reference};
 use ctsdac_circuit::impedance::{rout_at_optimum, rout_at_optimum_with_bias};
-use ctsdac_circuit::poles::PoleModel;
+use ctsdac_circuit::poles::{PoleModel, TwoPoles};
 use ctsdac_circuit::settling::{settling_time_two_pole, settling_time_two_pole_bisect};
 use ctsdac_obs as obs;
 use ctsdac_runtime::{
@@ -556,10 +556,13 @@ impl DesignSpace {
         let mut metrics = (0.0, f64::INFINITY, 0.0);
         let mut dc = (0.0, false);
         if has_bias {
-            let poles = PoleModel::new(spec.cells_at_output()).poles(&cell, &spec.env);
+            let poles = PoleModel::new(spec.cells_at_output())
+                .poles(&cell, &spec.env)
+                .ok()
+                .filter(TwoPoles::has_valid_taus);
             let rout = rout_at_optimum(&cell, &spec.env);
             let mut failed = true;
-            if let (Ok(p), Ok(r)) = (poles, rout) {
+            if let (Some(p), Ok(r)) = (poles, rout) {
                 let f_min = p.dominant_hz();
                 let ts = settling_time_two_pole_bisect(&p, spec.n_bits);
                 if f_min.is_finite() && f_min > 0.0 && ts.is_finite() && r.is_finite() {
@@ -1018,10 +1021,15 @@ impl SweepCtx {
         let Ok(opt) = OptimumBias::of(cell, &spec.env) else {
             return (None, None);
         };
-        let poles = PoleModel::new(self.cells_at_output).poles_with_bias(cell, &spec.env, &opt);
+        // A NaN, zero or infinite time constant (e.g. from a NaN or infinite
+        // load) fails the chain here, not the settling solve's precondition.
+        let poles = PoleModel::new(self.cells_at_output)
+            .poles_with_bias(cell, &spec.env, &opt)
+            .ok()
+            .filter(TwoPoles::has_valid_taus);
         let rout = rout_at_optimum_with_bias(cell, &spec.env, &opt);
         let mut metrics = None;
-        if let (Ok(p), Ok(r)) = (poles, rout) {
+        if let (Some(p), Ok(r)) = (poles, rout) {
             let f_min = p.dominant_hz();
             let ts = settling_time_two_pole(&p, spec.n_bits);
             if f_min.is_finite() && f_min > 0.0 && ts.is_finite() && r.is_finite() {
@@ -1577,12 +1585,12 @@ mod tests {
 
     #[test]
     fn supervised_optimum_matches_sequential_under_faults() {
-        use ctsdac_runtime::FaultPlan;
-        use std::sync::Arc;
+        use ctsdac_failpoint::Registry;
         let s = space(SaturationCondition::Statistical);
         let sequential = s.optimize(Objective::MinArea).expect("feasible");
         let mut policy = ExecPolicy::with_jobs(4);
-        policy.pool.faults = Some(Arc::new(FaultPlan::new().panic_at(1).nan_at(7)));
+        policy.pool.failpoints =
+            Some(Registry::armed("panic@pool.chunk[1]:1,nan@pool.chunk[7]:1", 0).expect("spec"));
         let supervised = s
             .optimize_supervised(Objective::MinArea, f64::INFINITY, &policy)
             .expect("supervised optimum");

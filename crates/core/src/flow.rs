@@ -448,6 +448,11 @@ fn assemble_report(
         .map_err(|e| FlowError::Numerical {
             detail: format!("pole model of the sized unary cell: {e}"),
         })?;
+    if !poles.has_valid_taus() {
+        return Err(FlowError::Numerical {
+            detail: format!("pole model of the sized unary cell: degenerate time constants ({poles})"),
+        });
+    }
     let settling_s = settling_time_two_pole(&poles, spec.n_bits);
     let rout_dc = rout_at_optimum(&unary_cell, &spec.env).map_err(|e| FlowError::Numerical {
         detail: format!("output impedance of the sized unary cell: {e}"),
@@ -530,6 +535,54 @@ mod tests {
         )
         .expect("feasible");
         assert!(stat.total_area < legacy.total_area);
+    }
+
+    /// A load capacitance that makes the output pole's time constant NaN
+    /// or infinite must tag the affected points as numerical failures —
+    /// the sweep, the optimum search and the flow all return typed errors
+    /// instead of panicking inside the settling solve. A zero load is not
+    /// degenerate: the switch drains keep the output time constant
+    /// positive, so it sizes a (faster) design.
+    #[test]
+    fn degenerate_load_capacitance_is_a_typed_numerical_failure() {
+        use crate::explore::{DesignSpace, ExploreError, InfeasibleReason, Objective};
+        let spec_with = |c_load: f64| {
+            let mut env = CellEnvironment::paper_12bit();
+            env.c_load = c_load;
+            DacSpec::new(12, 4, 0.997, env, Technology::c035())
+        };
+        let flow = |spec: &DacSpec, topology| {
+            let options = FlowOptions { topology, grid: 8, ..FlowOptions::default() };
+            run_flow(spec, &options)
+        };
+        for c_load in [f64::NAN, f64::INFINITY] {
+            let spec = spec_with(c_load);
+            let space = DesignSpace::new(&spec, SaturationCondition::Statistical).with_grid(8);
+            let reasons: Vec<_> = space.sweep_grid().iter_points().map(|p| p.reason).collect();
+            assert!(
+                reasons.iter().all(Option::is_some)
+                    && reasons.contains(&Some(InfeasibleReason::NumericalFailure)),
+                "c_load = {c_load}: no point is feasible, bias points fail numerically"
+            );
+            for objective in [Objective::MinArea, Objective::MaxSpeed] {
+                match space.optimize(objective) {
+                    Err(ExploreError::NumericalFailure { failed, .. }) => assert!(failed > 0),
+                    other => panic!("c_load = {c_load}, {objective:?}: got {other:?}"),
+                }
+            }
+            for topology in [TopologyChoice::Simple, TopologyChoice::Auto] {
+                match flow(&spec, topology) {
+                    Err(FlowError::Numerical { .. }) => {}
+                    other => panic!("c_load = {c_load}, {topology:?}: got {other:?}"),
+                }
+            }
+        }
+        let unloaded = spec_with(0.0);
+        for topology in [TopologyChoice::Simple, TopologyChoice::Auto] {
+            let report = flow(&unloaded, topology).expect("a zero load still sizes");
+            let loaded = flow(&DacSpec::paper_12bit(), topology).expect("paper design");
+            assert!(report.settling_s.is_finite() && report.settling_s < loaded.settling_s);
+        }
     }
 
     #[test]

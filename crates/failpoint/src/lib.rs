@@ -1,43 +1,45 @@
-//! Deterministic failpoint injection for the ctsdac I/O stack.
+//! Deterministic failpoint injection for the ctsdac workspace.
 //!
 //! A failpoint is a **named site** in library code — `store.append`,
-//! `journal.append`, `http.read` — that consults a [`Registry`] on every
-//! pass and receives either `None` (proceed normally) or an injected
-//! [`Failure`] to act out. Sites are compiled in unconditionally; an
-//! unarmed registry costs one relaxed atomic load per site visit, so the
-//! hooks stay in release builds and chaos tests exercise the *exact*
-//! binary that ships.
+//! `journal.append`, `http.read`, `pool.chunk` — that consults a
+//! [`Registry`] on every pass and receives either nothing (proceed
+//! normally) or an injected [`Failure`] to act out. Sites are compiled in
+//! unconditionally; an unarmed registry costs one relaxed atomic load per
+//! site visit, so the hooks stay in release builds and chaos tests
+//! exercise the *exact* binary that ships.
 //!
 //! Arming is a spec string, from the CLI (`--failpoints`) or the
-//! `CTSDAC_FAILPOINTS` environment variable:
+//! `CTSDAC_FAILPOINTS` environment variable, of comma-separated
+//! `KIND@SITE[[KEY]][:POLICY]` items, e.g.
+//! `short_write@store.append:3,eintr@http.read:1/3,panic@pool.chunk[3]:1`:
 //!
-//! ```text
-//! short_write@store.append:3,enospc@store.rotate,eintr@http.read:1/3
-//! ```
+//! * `KIND` — `short_write`, `enospc`, `eintr`, `err` (I/O failures),
+//!   `panic`, `nan`, `delay=MS` (a pool chunk attempt panics, returns
+//!   NaN, or stalls) or `lag=MS` (a response is held back); each site
+//!   documents which kinds it honours;
+//! * `SITE` — the dotted site name; `[KEY]` restricts an item to one key
+//!   of a *keyed* site ([`Registry::check_keyed`]; `pool.chunk` is keyed
+//!   by chunk index), and without it the item applies to every key;
+//! * `POLICY` — absent: every visit; `N`: the N-th visit only (1-based);
+//!   `N..`: every visit from the N-th on; `1/N`: a seeded-pseudorandom
+//!   1-in-N of visits.
 //!
-//! Each item is `KIND@SITE[:POLICY]`:
-//!
-//! * `KIND` — one of `short_write`, `enospc`, `eintr`, `err` (what the
-//!   site should simulate; each site documents which kinds it honours);
-//! * `SITE` — the dotted site name, matched exactly;
-//! * `POLICY` — when the failure fires, counted in *hits* of that site:
-//!   * absent — every hit;
-//!   * `N` — the N-th hit only (1-based);
-//!   * `N..` — every hit from the N-th on;
-//!   * `1/N` — a seeded-pseudorandom 1-in-N of hits.
-//!
-//! **Everything is deterministic.** Hit counters advance once per site
-//! visit; the `1/N` policy draws from a [SplitMix64] stream seeded by
-//! `(registry seed, site name, N)`, so the same spec + seed against the
-//! same request sequence reproduces the same firing pattern — chaos runs
-//! replay exact interleavings instead of relying on timing.
+//! **Everything is deterministic.** On a plain site ([`Registry::check`])
+//! a visit is a *hit*: counters advance once per hit, and `1/N` draws
+//! from a [SplitMix64] stream seeded by `(seed, site, N)`, so the same
+//! spec + seed against the same request sequence reproduces the same
+//! firing pattern. On a keyed site a visit is a caller-numbered
+//! *attempt* of one key: `N` is the N-th attempt of that key and `1/N`
+//! draws from `(seed, site, key, attempt)`, so the verdict is a pure
+//! function of (spec, seed, key, attempt) whatever the worker count,
+//! scheduling, or number of runs the registry has served.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 //!
 //! Two registries exist: the process-global one ([`global`], [`check`])
 //! that binaries arm at startup, and instance registries
 //! ([`Registry::new`]) that tests thread through configuration so
-//! parallel tests cannot interfere.
+//! parallel tests cannot interfere; [`or_global`] picks between them.
 //!
 //! # Examples
 //!
@@ -50,6 +52,13 @@
 //! assert_eq!(fp.check("store.append"), Some(Failure::ShortWrite)); // hit 2
 //! assert_eq!(fp.check("store.append"), None);                      // hit 3
 //! assert_eq!(fp.fired("store.append"), 1);
+//!
+//! // Keyed: the first attempt of chunk 3 panics, whoever visits it when.
+//! fp.arm("panic@pool.chunk[3]:1", 42).unwrap();
+//! assert_eq!(fp.check_keyed("pool.chunk", 3, 0), vec![Failure::Panic]);
+//! assert!(fp.check_keyed("pool.chunk", 3, 1).is_empty()); // the retry is clean
+//! assert!(fp.check_keyed("pool.chunk", 2, 0).is_empty());
+//! assert_eq!(fp.check_keyed("pool.chunk", 3, 0), vec![Failure::Panic]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,13 +67,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What an armed site is asked to simulate.
 ///
 /// The registry only *delivers* the verdict; each site acts it out in its
 /// own idiom (a torn disk write, a fabricated `ENOSPC`, an `EINTR`ed
-/// socket read, a generic typed error).
+/// socket read, a panicking pool worker, a stalled response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Failure {
     /// Persist only a prefix of the bytes, then behave as if the process
@@ -76,67 +85,120 @@ pub enum Failure {
     Eintr,
     /// Fabricate a generic typed error from the operation.
     Err,
+    /// Panic where the site runs (a supervised pool absorbs it).
+    Panic,
+    /// Corrupt the operation's numeric result to NaN (the operation's own
+    /// validation must catch it).
+    Nan,
+    /// Stall this many milliseconds before the operation runs (pushes a
+    /// chunk past its deadline).
+    Delay(u64),
+    /// Hold the response back this many milliseconds (slow-server
+    /// injection for client-timeout testing).
+    Lag(u64),
 }
 
 impl Failure {
-    /// Stable spec-string name.
+    /// Stable spec-string name (without the `=MS` argument).
     pub fn name(self) -> &'static str {
         match self {
             Self::ShortWrite => "short_write",
             Self::Enospc => "enospc",
             Self::Eintr => "eintr",
             Self::Err => "err",
+            Self::Panic => "panic",
+            Self::Nan => "nan",
+            Self::Delay(_) => "delay",
+            Self::Lag(_) => "lag",
         }
     }
 
+    /// Parses `KIND` or, for the timed kinds, `KIND=MS`.
     fn parse(s: &str) -> Option<Self> {
-        match s {
-            "short_write" => Some(Self::ShortWrite),
-            "enospc" => Some(Self::Enospc),
-            "eintr" => Some(Self::Eintr),
-            "err" => Some(Self::Err),
+        let (kind, ms) = match s.split_once('=') {
+            Some((kind, ms)) => (kind, Some(ms.parse::<u64>().ok()?)),
+            None => (s, None),
+        };
+        match (kind, ms) {
+            ("short_write", None) => Some(Self::ShortWrite),
+            ("enospc", None) => Some(Self::Enospc),
+            ("eintr", None) => Some(Self::Eintr),
+            ("err", None) => Some(Self::Err),
+            ("panic", None) => Some(Self::Panic),
+            ("nan", None) => Some(Self::Nan),
+            ("delay", Some(ms)) => Some(Self::Delay(ms)),
+            ("lag", Some(ms)) => Some(Self::Lag(ms)),
             _ => None,
         }
     }
 }
 
-/// When an armed failure fires, in hits of its site.
+/// When an armed failure fires, in visits of its site (hits of a plain
+/// site, attempts of one key of a keyed site).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Policy {
-    /// Every hit.
+    /// Every visit.
     Always,
-    /// The n-th hit only (1-based).
-    OnHit(u64),
-    /// Every hit from the n-th on (1-based).
-    FromHit(u64),
-    /// A seeded 1-in-n of hits.
+    /// The n-th visit only (1-based).
+    On(u64),
+    /// Every visit from the n-th on (1-based).
+    From(u64),
+    /// A seeded 1-in-n of visits.
     OneIn(u64),
 }
 
-/// One armed `KIND@SITE:POLICY` entry.
+impl Policy {
+    /// Whether the 1-based `visit` fires; `draw` supplies the `1/N` coin.
+    fn fires(self, visit: u64, draw: impl FnOnce() -> u64) -> bool {
+        match self {
+            Self::Always => true,
+            Self::On(n) => visit == n,
+            Self::From(n) => visit >= n,
+            Self::OneIn(n) => draw().is_multiple_of(n),
+        }
+    }
+}
+
+/// One armed `KIND@SITE[[KEY]]:POLICY` entry.
 #[derive(Debug)]
 struct Armed {
     kind: Failure,
+    /// `Some(k)`: a keyed item, visited only by `check_keyed` with key k.
+    key: Option<u64>,
     policy: Policy,
     hits: u64,
     fired: u64,
-    /// SplitMix64 state for the `OneIn` policy.
+    /// `(seed, site, N)` folded into one word: the plain `1/N` stream's
+    /// start and the keyed draws' base.
+    seed: u64,
+    /// SplitMix64 state for the plain `1/N` policy.
     rng: u64,
 }
 
 impl Armed {
-    /// Advances this arming by one site hit and reports whether it fires.
+    /// Advances this arming by one plain site hit and reports whether it
+    /// fires.
     fn advance(&mut self) -> bool {
         self.hits += 1;
-        let fire = match self.policy {
-            Policy::Always => true,
-            Policy::OnHit(n) => self.hits == n,
-            Policy::FromHit(n) => self.hits >= n,
-            Policy::OneIn(n) => splitmix64(&mut self.rng) % n == 0,
-        };
-        if fire {
-            self.fired += 1;
+        let rng = &mut self.rng;
+        let fire = self.policy.fires(self.hits, || splitmix64(rng));
+        self.fired += u64::from(fire);
+        fire
+    }
+
+    /// Whether this arming fires on zero-based attempt `attempt` of `key`:
+    /// a pure function of the arming, the key and the attempt.
+    fn fires_keyed(&mut self, key: u64, attempt: u32) -> bool {
+        if self.key.is_some_and(|k| k != key) {
+            return false;
         }
+        let mut draw = self.seed
+            ^ key.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ u64::from(attempt).rotate_left(32);
+        let fire = self
+            .policy
+            .fires(u64::from(attempt) + 1, || splitmix64(&mut draw));
+        self.fired += u64::from(fire);
         fire
     }
 }
@@ -186,10 +248,10 @@ fn spec_err(item: &str, detail: impl Into<String>) -> SpecError {
 
 /// A set of armed failpoints.
 ///
-/// Cheap when empty: [`Registry::check`] is one relaxed load until the
-/// first [`Registry::arm`]. All mutation is behind one mutex that
-/// recovers from poisoning (a panicking site must not wedge injection
-/// for every other thread).
+/// Cheap when empty: [`Registry::check`] and [`Registry::check_keyed`]
+/// are one relaxed load until the first [`Registry::arm`]. All mutation
+/// is behind one mutex that recovers from poisoning (a panicking site
+/// must not wedge injection for every other thread).
 #[derive(Debug, Default)]
 pub struct Registry {
     /// Number of armed entries; the fast-path gate.
@@ -206,6 +268,18 @@ impl Registry {
         }
     }
 
+    /// A new registry armed with `spec` (see [`Registry::arm`]), shared —
+    /// the form configuration structs take.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError`] on the first malformed item.
+    pub fn armed(spec: &str, seed: u64) -> Result<Arc<Self>, SpecError> {
+        let fp = Self::new();
+        fp.arm(spec, seed)?;
+        Ok(Arc::new(fp))
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Vec<Armed>>> {
         self.sites
             .lock()
@@ -214,8 +288,7 @@ impl Registry {
 
     /// Arms every item of a comma-separated spec string with the given
     /// firing seed. Returns the number of items armed; an empty spec arms
-    /// nothing and is not an error. Arming is additive — call
-    /// [`Registry::disarm_all`] to start over.
+    /// nothing and is not an error. Arming is additive.
     ///
     /// # Errors
     ///
@@ -224,31 +297,46 @@ impl Registry {
     pub fn arm(&self, spec: &str, seed: u64) -> Result<usize, SpecError> {
         let mut staged: Vec<(String, Armed)> = Vec::new();
         for item in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let (kind, rest) = item
-                .split_once('@')
-                .ok_or_else(|| spec_err(item, "missing '@' (expected KIND@SITE[:POLICY])"))?;
+            let (kind, rest) = item.split_once('@').ok_or_else(|| {
+                spec_err(item, "missing '@' (expected KIND@SITE[[KEY]][:POLICY])")
+            })?;
             let kind = Failure::parse(kind).ok_or_else(|| {
-                spec_err(item, "unknown kind (expected short_write|enospc|eintr|err)")
+                spec_err(
+                    item,
+                    "unknown kind (expected short_write|enospc|eintr|err|panic|nan|delay=MS|lag=MS)",
+                )
             })?;
             let (site, policy) = match rest.split_once(':') {
                 None => (rest, Policy::Always),
                 Some((site, p)) => (site, parse_policy(item, p)?),
             };
-            if site.is_empty() {
-                return Err(spec_err(item, "empty site name"));
+            let (site, key) = match site.strip_suffix(']').and_then(|s| s.split_once('[')) {
+                None => (site, None),
+                Some((site, key)) => {
+                    let key = key
+                        .parse()
+                        .map_err(|_| spec_err(item, "key must be SITE[K] with K a u64"))?;
+                    (site, Some(key))
+                }
+            };
+            if site.is_empty() || site.contains(['[', ']']) {
+                return Err(spec_err(item, "empty or malformed site name"));
             }
             let ratio_n = match policy {
                 Policy::OneIn(n) => n,
                 _ => 0,
             };
+            let seed = seed ^ fnv1a64(site.as_bytes()) ^ ratio_n.rotate_left(17);
             staged.push((
                 site.to_string(),
                 Armed {
                     kind,
+                    key,
                     policy,
                     hits: 0,
                     fired: 0,
-                    rng: seed ^ fnv1a64(site.as_bytes()) ^ ratio_n.rotate_left(17),
+                    seed,
+                    rng: seed,
                 },
             ));
         }
@@ -263,15 +351,9 @@ impl Registry {
         Ok(n)
     }
 
-    /// Removes every arming and resets all counters.
-    pub fn disarm_all(&self) {
-        let mut sites = self.lock();
-        sites.clear();
-        self.armed.store(0, Ordering::Release);
-    }
-
-    /// One site visit: advances every arming of `site` and returns the
-    /// first failure that fires, or `None`.
+    /// One plain site visit: advances every unkeyed arming of `site` and
+    /// returns the first failure that fires, or `None`. Keyed items
+    /// (`SITE[K]`) never fire here.
     ///
     /// This is the call sites place inline; with nothing armed it is one
     /// relaxed atomic load.
@@ -287,7 +369,7 @@ impl Registry {
         let mut sites = self.lock();
         let armings = sites.get_mut(site)?;
         let mut verdict = None;
-        for armed in armings.iter_mut() {
+        for armed in armings.iter_mut().filter(|a| a.key.is_none()) {
             // Every arming advances on every hit — determinism requires
             // the counters not to depend on which arming fired first.
             if armed.advance() && verdict.is_none() {
@@ -297,13 +379,27 @@ impl Registry {
         verdict
     }
 
-    /// Total hits recorded against `site` (max across its armings, since
-    /// each arming counts every hit).
-    pub fn hits(&self, site: &str) -> u64 {
-        self.lock()
-            .get(site)
-            .map(|v| v.iter().map(|a| a.hits).max().unwrap_or(0))
-            .unwrap_or(0)
+    /// One visit of a keyed site: zero-based attempt `attempt` of `key`.
+    /// Returns every failure that fires, in arming order (an attempt may
+    /// be both delayed and panicked), empty when none does.
+    ///
+    /// The verdict is a pure function of (spec, seed, key, attempt): no
+    /// state carries between visits, so it does not depend on worker
+    /// count, visit order, or earlier runs against the same registry.
+    /// With nothing armed it is one relaxed atomic load.
+    #[inline]
+    pub fn check_keyed(&self, site: &str, key: u64, attempt: u32) -> Vec<Failure> {
+        if self.armed.load(Ordering::Acquire) == 0 {
+            return Vec::new();
+        }
+        let mut sites = self.lock();
+        let Some(armings) = sites.get_mut(site) else {
+            return Vec::new();
+        };
+        armings
+            .iter_mut()
+            .filter_map(|a| a.fires_keyed(key, attempt).then_some(a.kind))
+            .collect()
     }
 
     /// Total failures fired at `site`, summed over its armings.
@@ -338,17 +434,17 @@ fn parse_policy(item: &str, p: &str) -> Result<Policy, SpecError> {
             .parse()
             .map_err(|_| spec_err(item, "unparseable N in N.."))?;
         if n == 0 {
-            return Err(spec_err(item, "hits are 1-based; N.. needs N >= 1"));
+            return Err(spec_err(item, "visits are 1-based; N.. needs N >= 1"));
         }
-        return Ok(Policy::FromHit(n));
+        return Ok(Policy::From(n));
     }
     let n: u64 = p
         .parse()
         .map_err(|_| spec_err(item, "policy must be N, N.., or 1/N"))?;
     if n == 0 {
-        return Err(spec_err(item, "hits are 1-based; use N >= 1"));
+        return Err(spec_err(item, "visits are 1-based; use N >= 1"));
     }
-    Ok(Policy::OnHit(n))
+    Ok(Policy::On(n))
 }
 
 // ---------------------------------------------------------------------------
@@ -367,6 +463,12 @@ pub fn global() -> &'static Registry {
 #[inline]
 pub fn check(site: &str) -> Option<Failure> {
     GLOBAL.check(site)
+}
+
+/// The registry a component configured with `fp` consults: its own when
+/// set (tests), otherwise the process-global one (binaries).
+pub fn or_global(fp: Option<&Registry>) -> &Registry {
+    fp.unwrap_or(&GLOBAL)
 }
 
 /// Environment variable holding the global arming spec.
@@ -403,7 +505,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(fp.check("store.append"), None);
         }
-        assert_eq!(fp.hits("store.append"), 0);
         assert_eq!(fp.armed_count(), 0);
     }
 
@@ -416,7 +517,6 @@ mod tests {
         }
         assert_eq!(fp.check("store.append"), None, "other sites untouched");
         assert_eq!(fp.fired("store.rotate"), 3);
-        assert_eq!(fp.hits("store.rotate"), 3);
     }
 
     #[test]
@@ -461,21 +561,16 @@ mod tests {
         assert_eq!(fp.check("s"), Some(Failure::Eintr));
         assert_eq!(fp.check("s"), Some(Failure::Err));
         assert_eq!(fp.check("s"), None);
-        assert_eq!(fp.hits("s"), 3);
         assert_eq!(fp.fired("s"), 2);
     }
 
     #[test]
-    fn arm_is_additive_and_disarm_resets() {
+    fn arm_is_additive() {
         let fp = Registry::new();
         fp.arm("err@x", 0).expect("arm");
         fp.arm("err@y", 0).expect("arm");
         assert_eq!(fp.armed_count(), 2);
         assert!(fp.check("x").is_some() && fp.check("y").is_some());
-        fp.disarm_all();
-        assert_eq!(fp.armed_count(), 0);
-        assert_eq!(fp.check("x"), None);
-        assert_eq!(fp.fired("x"), 0);
     }
 
     #[test]
@@ -491,6 +586,12 @@ mod tests {
             "err@site:0..",
             "err@site:x",
             "err@ok,short_write@tail:oops", // later item bad: all rolled back
+            "panic@pool.chunk[x]:1",
+            "panic@pool.chunk[]",
+            "panic@[3]:1",
+            "panic@pool.chunk[3",
+            "delay@pool.chunk[3]",
+            "lag=fast@service.handler",
         ] {
             let e = fp.arm(bad, 0).expect_err(bad);
             assert!(!e.to_string().is_empty());
@@ -517,9 +618,70 @@ mod tests {
             Failure::Enospc,
             Failure::Eintr,
             Failure::Err,
+            Failure::Panic,
+            Failure::Nan,
         ] {
             assert_eq!(Failure::parse(f.name()), Some(f));
         }
-        assert_eq!(Failure::parse("panic"), None);
+        assert_eq!(Failure::parse("delay=150"), Some(Failure::Delay(150)));
+        assert_eq!(Failure::parse("lag=0"), Some(Failure::Lag(0)));
+        for bad in ["delay", "lag", "delay=x", "panic=3", "boom"] {
+            assert_eq!(Failure::parse(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn keyed_items_fire_on_attempts_of_their_key() {
+        let fp = Registry::new();
+        fp.arm(
+            "panic@pool.chunk[3]:1,panic@pool.chunk[3]:2,nan@pool.chunk[7]:2..,\
+             delay=25@pool.chunk[1],nan@pool.chunk[1]:1",
+            0,
+        )
+        .expect("arm");
+        let visit = |key, attempt| fp.check_keyed("pool.chunk", key, attempt);
+        assert_eq!(visit(3, 0), vec![Failure::Panic]);
+        assert_eq!(visit(3, 1), vec![Failure::Panic]);
+        assert!(visit(3, 2).is_empty());
+        assert!(visit(7, 0).is_empty());
+        assert_eq!(visit(7, 1), vec![Failure::Nan]);
+        assert_eq!(visit(7, 9), vec![Failure::Nan]);
+        // One visit fires every kind armed for it, in arming order.
+        assert_eq!(visit(1, 0), vec![Failure::Delay(25), Failure::Nan]);
+        assert_eq!(visit(1, 3), vec![Failure::Delay(25)]);
+        assert!(visit(0, 0).is_empty());
+        // Revisiting repeats the verdict: nothing is counted across visits.
+        assert_eq!(visit(3, 0), vec![Failure::Panic]);
+        assert_eq!(fp.fired("pool.chunk"), 1 + 1 + 2 + 3 + 1);
+        // Keyed items are invisible to plain checks of the same site.
+        assert_eq!(fp.check("pool.chunk"), None);
+    }
+
+    #[test]
+    fn keyed_ratio_is_a_pure_function_of_seed_key_and_attempt() {
+        let pattern = |seed: u64, order: &[u64]| {
+            let fp = Registry::new();
+            fp.arm("panic@pool.chunk:1/3", seed).expect("arm");
+            let mut fired: Vec<(u64, u32)> = Vec::new();
+            for &key in order {
+                for attempt in 0..4 {
+                    if !fp.check_keyed("pool.chunk", key, attempt).is_empty() {
+                        fired.push((key, attempt));
+                    }
+                }
+            }
+            fired.sort_unstable();
+            fired
+        };
+        let forward: Vec<u64> = (0..32).collect();
+        let backward: Vec<u64> = (0..32).rev().collect();
+        let a = pattern(9, &forward);
+        assert_eq!(a, pattern(9, &backward), "visit order must not matter");
+        assert_ne!(a, pattern(10, &forward), "the seed must matter");
+        assert!(
+            (16..=70).contains(&a.len()),
+            "1/3 of 128 attempts should fire roughly 43 times, got {}",
+            a.len()
+        );
     }
 }

@@ -162,10 +162,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{truncate_tail, FaultPlan};
-    use crate::journal::{encode_f64, decode_f64};
+    use crate::journal::{encode_f64, decode_f64, truncate_tail};
+    use ctsdac_failpoint::Registry;
     use std::path::Path;
-    use std::sync::Arc;
 
     fn meta(chunks: u64) -> JournalMeta {
         JournalMeta {
@@ -252,7 +251,8 @@ mod tests {
         cleanup(&path);
         let clean = run(&ExecPolicy::sequential(), 16).expect("baseline");
         let mut policy = ExecPolicy::with_jobs(4).checkpoint_at(&path);
-        policy.pool.faults = Some(Arc::new(FaultPlan::new().panic_at(2).panic_at(11)));
+        policy.pool.failpoints =
+            Some(Registry::armed("panic@pool.chunk[2]:1,panic@pool.chunk[11]:1", 0).expect("spec"));
         let faulty = run(&policy, 16).expect("supervised");
         assert_eq!(faulty.faults.len(), 2);
         assert_eq!(faulty.value, clean.value);

@@ -296,6 +296,25 @@ impl Journal {
 /// later truncates it) and any other kind as an I/O error.
 pub const SITE_APPEND: &str = "journal.append";
 
+/// Truncates `bytes` off the end of a file — the journal-corruption
+/// primitive crash drills use to simulate a crash mid-append (a torn tail
+/// line).
+///
+/// Returns the new length. Truncating more bytes than the file holds
+/// empties it.
+///
+/// # Errors
+///
+/// Any I/O failure opening or resizing the file.
+pub fn truncate_tail(path: &Path, bytes: u64) -> std::io::Result<u64> {
+    let file = std::fs::OpenOptions::new().write(true).open(path)?;
+    let len = file.metadata()?.len();
+    let new_len = len.saturating_sub(bytes);
+    file.set_len(new_len)?;
+    file.sync_data()?;
+    Ok(new_len)
+}
+
 fn header_line(meta: &JournalMeta) -> String {
     format!(
         "{{\"kind\":\"{}\",\"seed\":{},\"chunks\":{},\"params\":\"{}\"}}",
@@ -458,6 +477,20 @@ fn parse_entry(line: &str) -> Option<(u64, String)> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn truncate_tail_chops_and_saturates() {
+        let dir = std::env::temp_dir().join("ctsdac-runtime-truncate-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("trunc.jsonl");
+        std::fs::write(&path, b"hello world\n").expect("write");
+        let len = truncate_tail(&path, 6).expect("truncate");
+        assert_eq!(len, 6);
+        assert_eq!(std::fs::read(&path).expect("read"), b"hello ");
+        let len = truncate_tail(&path, 1000).expect("truncate past start");
+        assert_eq!(len, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("ctsdac-runtime-journal-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
@@ -511,7 +544,7 @@ mod tests {
             j.append(1, "one").expect("append");
         }
         // Simulate a crash mid-append: chop into the final line.
-        crate::fault::truncate_tail(&path, 5).expect("truncate");
+        truncate_tail(&path, 5).expect("truncate");
         let (_, entries, report) = Journal::resume(&path, &meta()).expect("resume");
         assert_eq!(report, LoadReport { entries: 1, dropped: 1 });
         assert_eq!(entries.get(&0).map(String::as_str), Some("zero"));
@@ -527,7 +560,7 @@ mod tests {
             j.append(0, "zero").expect("append");
             j.append(1, "one").expect("append");
         }
-        crate::fault::truncate_tail(&path, 3).expect("truncate");
+        truncate_tail(&path, 3).expect("truncate");
         {
             let (mut j, _, _) = Journal::resume(&path, &meta()).expect("resume");
             j.append(2, "two").expect("append");

@@ -13,15 +13,20 @@
 //!   bounded retry, and cooperative [`CancelToken`] cancellation.
 //! * [`journal`] — a plain-text JSONL write-ahead checkpoint journal,
 //!   fsync'd per chunk, corruption-tolerant on load (a torn tail is
-//!   dropped and recomputed, not an error).
+//!   dropped and recomputed, not an error); [`truncate_tail`] tears one
+//!   on purpose for crash drills.
 //! * [`exec`] — [`ExecPolicy`] and [`run_journaled`], the glue that runs
 //!   chunks under supervision with checkpoint-resume.
 //! * [`mc`] — supervised Monte-Carlo drivers ([`yield_supervised`],
 //!   [`summary_supervised`]) built on counter-based per-chunk RNG
 //!   streams.
-//! * [`fault`] — deterministic, scriptable fault injection
-//!   ([`FaultPlan`]) so the supervision invariants are proven by tests,
-//!   not asserted on faith.
+//! * Fault injection — every chunk attempt visits the keyed failpoint
+//!   site [`pool::SITE_CHUNK`] (`pool.chunk`) of a `ctsdac_failpoint`
+//!   registry ([`PoolConfig::failpoints`], the process-global one by
+//!   default). `panic@pool.chunk[3]:1`, `nan@pool.chunk[7]:1` and
+//!   `delay=150@pool.chunk[1]:1` script worker panics, NaN results and
+//!   stalls at chosen (chunk, attempt) pairs, so the supervision
+//!   invariants are proven by tests, not asserted on faith.
 //! * [`retry`] — a typed [`RetryPolicy`] (exponential backoff with
 //!   deterministic jitter) shared by the pool's chunk re-attempts and the
 //!   service layer's circuit breaker.
@@ -52,7 +57,6 @@
 
 pub mod cancel;
 pub mod exec;
-pub mod fault;
 pub mod journal;
 pub mod mc;
 pub mod pool;
@@ -60,8 +64,9 @@ pub mod retry;
 
 pub use cancel::CancelToken;
 pub use exec::{run_journaled, ExecPolicy, Supervised};
-pub use fault::{truncate_tail, FaultPlan};
-pub use journal::{decode_f64, encode_f64, Journal, JournalError, JournalMeta, LoadReport};
+pub use journal::{
+    decode_f64, encode_f64, truncate_tail, Journal, JournalError, JournalMeta, LoadReport,
+};
 pub use mc::{
     summary_supervised, yield_supervised, yield_vector_supervised,
     yield_vector_supervised_chunked, McPlan,

@@ -418,9 +418,13 @@ fn decode_summary(s: &str) -> Option<Summary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{truncate_tail, FaultPlan};
+    use crate::journal::truncate_tail;
+    use ctsdac_failpoint::Registry;
     use ctsdac_stats::Rng;
-    use std::sync::Arc;
+
+    fn armed(spec: &str) -> std::sync::Arc<Registry> {
+        Registry::armed(spec, 0).expect("failpoint spec")
+    }
 
     fn pass_fn(rng: &mut Xoshiro256PlusPlus, _trial: u64) -> bool {
         rng.gen_range(0.0..1.0) < 0.8
@@ -471,8 +475,8 @@ mod tests {
         // Faults on: panics, a deadline overrun and a NaN corruption.
         let mut policy = ExecPolicy::with_jobs(4);
         policy.pool.deadline = Some(std::time::Duration::from_millis(250));
-        policy.pool.faults = Some(Arc::new(
-            FaultPlan::new().panic_at(0).panic_at(9).delay_ms_at(3, 400).nan_at(12),
+        policy.pool.failpoints = Some(armed(
+            "panic@pool.chunk[0]:1,panic@pool.chunk[9]:1,delay=400@pool.chunk[3]:1,nan@pool.chunk[12]:1",
         ));
         let faulty = yield_supervised(&policy, &plan, "t", pass_fn).expect("supervised");
         assert_eq!(faulty.value, clean.value);
@@ -549,7 +553,7 @@ mod tests {
     fn nan_injection_is_caught_and_retried() {
         let plan = McPlan::new(3, 1_000, 100).expect("plan");
         let mut policy = ExecPolicy::with_jobs(2);
-        policy.pool.faults = Some(Arc::new(FaultPlan::new().nan_at(4)));
+        policy.pool.failpoints = Some(armed("nan@pool.chunk[4]:1"));
         let out = summary_supervised(&policy, &plan, "m", metric_fn).expect("supervised");
         let clean = summary_supervised(&ExecPolicy::sequential(), &plan, "m", metric_fn)
             .expect("clean");
@@ -617,7 +621,7 @@ mod tests {
         )
         .expect("clean");
         let mut policy = ExecPolicy::with_jobs(4);
-        policy.pool.faults = Some(Arc::new(FaultPlan::new().panic_at(1).nan_at(6)));
+        policy.pool.failpoints = Some(armed("panic@pool.chunk[1]:1,nan@pool.chunk[6]:1"));
         let faulty = yield_vector_supervised(&policy, &plan, "nested", 3, || 0u64, vector_pass)
             .expect("supervised");
         assert_eq!(faulty.value, clean.value);

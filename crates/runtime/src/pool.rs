@@ -27,11 +27,18 @@
 //!   per-chunk streams (`ctsdac_stats::rng::stream_rng`). The assembled
 //!   output is therefore bit-identical for every `jobs` value, with faults
 //!   on or off, and across resume.
+//! * **Fault injection** — every chunk attempt visits the keyed failpoint
+//!   site [`SITE_CHUNK`] once, keyed by chunk index and attempt number:
+//!   `panic@pool.chunk[3]:1` panics the first attempt of chunk 3,
+//!   `nan@pool.chunk[7]:1` corrupts its result ([`ChunkCtx::injected_nan`]),
+//!   `delay=150@pool.chunk[1]:1` stalls it. The verdict is a pure
+//!   function of (spec, seed, chunk, attempt), so a drill injects the same
+//!   faults whatever `jobs` is and however many runs share the registry.
 
 use crate::cancel::CancelToken;
-use crate::fault::FaultPlan;
 use crate::journal::JournalError;
 use crate::retry::RetryPolicy;
+use ctsdac_failpoint::{Failure, Registry};
 use ctsdac_obs as obs;
 use ctsdac_stats::StatsError;
 use std::collections::BTreeMap;
@@ -41,6 +48,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Keyed failpoint site visited once per chunk attempt (key: chunk
+/// index). Honours `panic`, `nan` and `delay=MS`.
+pub const SITE_CHUNK: &str = "pool.chunk";
 
 /// A supervised failure of one chunk attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -312,8 +323,9 @@ pub struct PoolConfig {
     pub backoff: RetryPolicy,
     /// Cooperative cancellation flag shared with the caller.
     pub cancel: CancelToken,
-    /// Scripted fault injection (tests / CI smoke); `None` in production.
-    pub faults: Option<Arc<FaultPlan>>,
+    /// Failpoint registry consulted at [`SITE_CHUNK`]; `None` uses the
+    /// process-global one (unarmed in production).
+    pub failpoints: Option<Arc<Registry>>,
     /// Observational progress callback.
     pub progress: Option<ProgressFn>,
     /// Shared gauge the chunk bodies may publish through.
@@ -329,7 +341,7 @@ impl fmt::Debug for PoolConfig {
             .field("deadline", &self.deadline)
             .field("retries", &self.retries)
             .field("backoff", &self.backoff)
-            .field("faults", &self.faults.is_some())
+            .field("failpoints", &self.failpoints.is_some())
             .field("progress", &self.progress.is_some())
             .finish()
     }
@@ -367,7 +379,7 @@ pub struct ChunkCtx<'a> {
     /// Zero-based attempt number (> 0 on retries).
     pub attempt: u32,
     cancel: &'a CancelToken,
-    faults: Option<&'a FaultPlan>,
+    nan: bool,
     gauge: &'a ProgressGauge,
     units: &'a UnitCounter,
 }
@@ -379,12 +391,11 @@ impl ChunkCtx<'_> {
         self.cancel.is_cancelled()
     }
 
-    /// True if the fault plan scripts a NaN corruption for this attempt.
-    /// Chunk bodies that support fault injection corrupt their result
-    /// when this returns true; their own validation must then catch it.
+    /// True if an armed `nan` failpoint fired for this attempt. Chunk
+    /// bodies that support fault injection corrupt their result when this
+    /// returns true; their own validation must then catch it.
     pub fn injected_nan(&self) -> bool {
-        self.faults
-            .is_some_and(|p| p.injects_nan(self.chunk, self.attempt))
+        self.nan
     }
 
     /// Publishes an observational gauge value (e.g. a running best
@@ -457,27 +468,28 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One attempt of one chunk: fault injection, panic isolation, deadline
-/// check, result validation.
+/// check, result validation. `injected` holds the failpoints that fired
+/// for this attempt.
 fn attempt_chunk<T, W>(
     worker: &W,
     ctx: &ChunkCtx<'_>,
     deadline: Option<Duration>,
-    faults: Option<&FaultPlan>,
+    injected: &[Failure],
 ) -> Result<T, TaskFault>
 where
     W: Fn(&ChunkCtx<'_>) -> Result<T, String>,
 {
     let started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(plan) = faults {
-            if let Some(delay) = plan.injects_delay(ctx.chunk, ctx.attempt) {
-                std::thread::sleep(delay);
+        for failure in injected {
+            if let Failure::Delay(ms) = failure {
+                std::thread::sleep(Duration::from_millis(*ms));
             }
-            if plan.injects_panic(ctx.chunk, ctx.attempt) {
-                // The whole point of this line is to panic: the plan asked
-                // for a fault that `catch_unwind` below must absorb.
-                panic!("injected (chunk {}, attempt {})", ctx.chunk, ctx.attempt); // ci-gate: allow
-            }
+        }
+        if injected.contains(&Failure::Panic) {
+            // The whole point of this line is to panic: an armed failpoint
+            // asked for a fault that `catch_unwind` below must absorb.
+            panic!("injected (chunk {}, attempt {})", ctx.chunk, ctx.attempt); // ci-gate: allow
         }
         worker(ctx)
     }));
@@ -585,7 +597,7 @@ where
             let next = &next;
             let worker = &worker;
             let cancel = &cfg.cancel;
-            let faults = cfg.faults.as_deref();
+            let failpoints = ctsdac_failpoint::or_global(cfg.failpoints.as_deref());
             let gauge = &cfg.gauge;
             let units = &cfg.units;
             let deadline = cfg.deadline;
@@ -613,15 +625,16 @@ where
                     if attempt > 0 && cancel.is_cancelled() {
                         break;
                     }
+                    let injected = failpoints.check_keyed(SITE_CHUNK, chunk, attempt);
                     let ctx = ChunkCtx {
                         chunk,
                         attempt,
                         cancel,
-                        faults,
+                        nan: injected.contains(&Failure::Nan),
                         gauge,
                         units,
                     };
-                    match attempt_chunk(worker, &ctx, deadline, faults) {
+                    match attempt_chunk(worker, &ctx, deadline, &injected) {
                         Ok(value) => {
                             verdict = Some(ChunkReport::Done {
                                 chunk,
@@ -759,6 +772,10 @@ mod tests {
         Ok(ctx.chunk * 10)
     }
 
+    fn armed(spec: &str) -> Arc<Registry> {
+        Registry::armed(spec, 0).expect("failpoint spec")
+    }
+
     fn no_observe(_: u64, _: &u64) -> Result<(), RuntimeError> {
         Ok(())
     }
@@ -803,9 +820,9 @@ mod tests {
 
     #[test]
     fn panics_are_isolated_and_retried() {
-        let plan = Arc::new(FaultPlan::new().panic_at(3).panic_at(7));
+        let fp = armed("panic@pool.chunk[3]:1,panic@pool.chunk[7]:1");
         let mut cfg = PoolConfig::with_jobs(4);
-        cfg.faults = Some(plan.clone());
+        cfg.failpoints = Some(fp.clone());
         let report =
             run_chunks(&cfg, 10, BTreeMap::new(), echo_worker, no_observe).expect("supervised");
         // Results identical to a fault-free run.
@@ -814,15 +831,14 @@ mod tests {
         assert_eq!(report.faults.len(), 2);
         assert!(matches!(report.faults[0], TaskFault::Panic { chunk: 3, .. }));
         assert!(matches!(report.faults[1], TaskFault::Panic { chunk: 7, .. }));
-        assert_eq!(plan.fired(), 2);
+        assert_eq!(fp.fired(SITE_CHUNK), 2);
     }
 
     #[test]
     fn retry_exhaustion_is_a_typed_error() {
-        let plan = Arc::new(FaultPlan::new().panic_at_for(2, 10));
         let mut cfg = PoolConfig::with_jobs(2);
         cfg.retries = 1;
-        cfg.faults = Some(plan);
+        cfg.failpoints = Some(armed("panic@pool.chunk[2]"));
         let err = run_chunks(&cfg, 5, BTreeMap::new(), echo_worker, no_observe)
             .expect_err("chunk 2 cannot succeed");
         match err {
@@ -839,10 +855,9 @@ mod tests {
 
     #[test]
     fn deadline_overrun_is_detected_and_retried() {
-        let plan = Arc::new(FaultPlan::new().delay_ms_at(1, 60));
         let mut cfg = PoolConfig::with_jobs(2);
         cfg.deadline = Some(Duration::from_millis(20));
-        cfg.faults = Some(plan);
+        cfg.failpoints = Some(armed("delay=60@pool.chunk[1]:1"));
         let report =
             run_chunks(&cfg, 4, BTreeMap::new(), echo_worker, no_observe).expect("supervised");
         assert_eq!(report.results, vec![0, 10, 20, 30]);
@@ -858,9 +873,8 @@ mod tests {
 
     #[test]
     fn invalid_results_are_retried() {
-        let plan = Arc::new(FaultPlan::new().nan_at(0));
         let mut cfg = PoolConfig::with_jobs(2);
-        cfg.faults = Some(plan);
+        cfg.failpoints = Some(armed("nan@pool.chunk[0]:1"));
         let worker = |ctx: &ChunkCtx<'_>| -> Result<u64, String> {
             if ctx.injected_nan() {
                 return Err("injected NaN".into());
@@ -965,8 +979,8 @@ mod tests {
         .results;
         for jobs in [2, 8] {
             let mut cfg = PoolConfig::with_jobs(jobs);
-            cfg.faults = Some(Arc::new(
-                FaultPlan::new().panic_at(0).panic_at(13).delay_ms_at(5, 5).nan_at(31),
+            cfg.failpoints = Some(armed(
+                "panic@pool.chunk[0]:1,panic@pool.chunk[13]:1,delay=5@pool.chunk[5]:1,nan@pool.chunk[31]:1",
             ));
             let report = run_chunks(
                 &cfg,

@@ -8,7 +8,7 @@
 //! lost, and assemble a result bit-identical to an uninterrupted run.
 
 use ctsdac_runtime::exec::{run_journaled, ExecPolicy, Supervised};
-use ctsdac_runtime::fault::truncate_tail;
+use ctsdac_runtime::truncate_tail;
 use ctsdac_runtime::journal::{decode_f64, encode_f64, JournalMeta};
 use ctsdac_runtime::pool::{ChunkCtx, RuntimeError};
 use std::path::{Path, PathBuf};

@@ -14,8 +14,9 @@ use crate::protocol::{render_num, ApiError, ErrorKind, Mode, ServiceRequest};
 use ctsdac_core::explore::SweepError;
 use ctsdac_core::validate::{saturation_yield_supervised, SaturationYield, ValidateError};
 use ctsdac_core::{DacSpec, DesignPoint, DesignSpace};
+use ctsdac_failpoint::Registry;
 use ctsdac_obs as obs;
-use ctsdac_runtime::{CancelToken, ExecPolicy, FaultPlan, McPlan, RuntimeError};
+use ctsdac_runtime::{CancelToken, ExecPolicy, McPlan, RuntimeError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,8 +25,10 @@ use std::time::Duration;
 pub struct EngineConfig {
     /// Deadline applied when a request does not carry one.
     pub default_deadline: Option<Duration>,
-    /// Scripted runtime fault plan (chaos testing); `None` in production.
-    pub faults: Option<Arc<FaultPlan>>,
+    /// The daemon's failpoint registry: its `pool.chunk` sites reach every
+    /// request's supervised pool and `service.handler` every response.
+    /// `None` uses the process-global registry (unarmed in production).
+    pub failpoints: Option<Arc<Registry>>,
     /// Hard cap on per-request pool width (requests ask via `jobs`).
     pub max_jobs: usize,
 }
@@ -81,7 +84,7 @@ impl Engine {
         let jobs = req.jobs.min(self.cfg.max_jobs.max(1));
         let mut policy = ExecPolicy::with_jobs(jobs);
         policy.pool.cancel = token.clone();
-        policy.pool.faults = self.cfg.faults.clone();
+        policy.pool.failpoints = self.cfg.failpoints.clone();
 
         // Validated by the protocol layer, so `DacSpec::new` cannot panic.
         let spec = DacSpec::new(
@@ -219,7 +222,7 @@ mod tests {
     fn engine() -> Engine {
         Engine::new(EngineConfig {
             default_deadline: None,
-            faults: None,
+            failpoints: None,
             max_jobs: 8,
         })
     }
@@ -304,7 +307,7 @@ mod tests {
         let e = Engine::new(EngineConfig {
             default_deadline: None,
             // Panic every attempt of chunk 0: exhausts the retry budget.
-            faults: Some(Arc::new(FaultPlan::new().panic_at_for(0, 16))),
+            failpoints: Some(Registry::armed("panic@pool.chunk[0]", 0).expect("spec")),
             max_jobs: 2,
         });
         let req = parse_request(Mode::Sizing, "{\"grid\":8}").expect("req");

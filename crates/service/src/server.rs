@@ -28,6 +28,7 @@ use crate::engine::{Engine, EngineConfig};
 use crate::http::{read_request, write_response, HttpError, HttpRequest};
 use crate::json::escape;
 use crate::protocol::{cache_key, parse_request, render_ok, ApiError, ErrorKind, Mode};
+use ctsdac_failpoint::Failure;
 use ctsdac_obs as obs;
 use ctsdac_store::{Store, StoreConfig};
 use std::collections::VecDeque;
@@ -37,6 +38,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Failpoint site visited once per response, before it is written.
+/// Honours `lag=MS` (hold the response back `MS` milliseconds, so chaos
+/// suites can exercise client-side timeouts).
+pub const SITE_HANDLER: &str = "service.handler";
 
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
@@ -52,7 +58,7 @@ pub struct ServerConfig {
     pub admission: AdmissionConfig,
     /// Circuit-breaker parameters.
     pub breaker: BreakerConfig,
-    /// Engine parameters (default deadline, fault plan, jobs cap).
+    /// Engine parameters (default deadline, failpoint registry, jobs cap).
     pub engine: EngineConfig,
     /// Socket read timeout (slow-client defense).
     pub read_timeout: Duration,
@@ -61,9 +67,6 @@ pub struct ServerConfig {
     /// Byte budget over cached `key + rendered result` payloads; FIFO
     /// eviction keeps the cache under whichever bound bites first.
     pub cache_bytes: usize,
-    /// Service-level fault injection: sleep this long before writing any
-    /// response (lets chaos suites exercise client-side timeouts).
-    pub response_lag: Option<Duration>,
     /// Durable result store; `None` keeps the cache memory-only. With a
     /// store, startup primes the cache from the recovery scan and every
     /// miss-fill is persisted write-behind (the hot path never waits on
@@ -81,13 +84,12 @@ impl Default for ServerConfig {
             breaker: BreakerConfig::default(),
             engine: EngineConfig {
                 default_deadline: Some(Duration::from_secs(30)),
-                faults: None,
+                failpoints: None,
                 max_jobs: 8,
             },
             read_timeout: Duration::from_secs(5),
             cache_capacity: 256,
             cache_bytes: 32 << 20,
-            response_lag: None,
             store: None,
         }
     }
@@ -438,8 +440,9 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 (e.kind.status(), None, e.render())
             }
         };
-    if let Some(lag) = shared.cfg.response_lag {
-        std::thread::sleep(lag);
+    let failpoints = ctsdac_failpoint::or_global(shared.cfg.engine.failpoints.as_deref());
+    if let Some(Failure::Lag(ms)) = failpoints.check(SITE_HANDLER) {
+        std::thread::sleep(Duration::from_millis(ms));
     }
     let _ = write_response(&mut stream, status, retry_after, &body);
 }

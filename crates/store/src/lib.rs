@@ -360,10 +360,7 @@ struct Shared {
 
 impl Shared {
     fn fp_check(&self, site: &str) -> Option<Failure> {
-        match &self.failpoints {
-            Some(r) => r.check(site),
-            None => ctsdac_failpoint::check(site),
-        }
+        ctsdac_failpoint::or_global(self.failpoints.as_deref()).check(site)
     }
 }
 

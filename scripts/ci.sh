@@ -55,6 +55,8 @@
 #    runtime cancellation, absorb the injected worker panics, and drain
 #    cleanly on POST /v1/shutdown with exit code 0 — no orphaned pool
 #    workers (a stuck chunk would hang the drain and fail the stage).
+#    Chaos is armed through the one failpoint grammar (`--failpoints`);
+#    both binaries must reject the retired `--faults` flag as unknown.
 # 10. Durable-store crash smoke: `dacd --store` with a deterministic
 #    short_write failpoint armed is loaded, SIGKILLed mid-write, and
 #    restarted on the same directory. The restarted daemon must serve
@@ -227,13 +229,15 @@ if ! awk "BEGIN { exit !($mc_lanes_speedup >= 12.0) }"; then
 fi
 
 echo "==> observability smoke (trace + metrics under fault injection)"
-# A supervised run with injected panics, tracing to stderr and a metrics
+# A supervised run with injected faults (a panic on chunk 1's first
+# attempt, a NaN result on chunk 3's), tracing to stderr and a metrics
 # snapshot to disk: the run must succeed, the snapshot must carry the
 # schema header and both sections, and every injected fault must show up
 # in the nondeterministic counters.
 obs_json="${TMPDIR:-/tmp}/ctsdac_obs_smoke.json"
 cargo run --offline -q -p ctsdac --bin dacsizer -- \
-    --topology simple --grid 8 --jobs 4 --faults panic@1,nan@3 \
+    --topology simple --grid 8 --jobs 4 \
+    --failpoints 'panic@pool.chunk[1]:1,nan@pool.chunk[3]:1' \
     --trace=json --metrics-out "$obs_json" >/dev/null 2>&1
 for key in '"schema": "ctsdac-metrics-v1"' '"deterministic"' \
            '"nondeterministic"' '"mc.trials"' '"circuit.dc.solves"' \
@@ -295,9 +299,20 @@ echo "==> service smoke (dacd: admission -> cache -> breaker -> runtime)"
 # bit-identical cached repeat, typed 504 via runtime cancellation, live
 # metrics, graceful drain.
 cargo build --offline -q -p ctsdac --bin dacd
+# One fault grammar: the retired --faults flag is an unknown argument
+# (exit 2) in both binaries. The trailing --help turns a regression that
+# accepts the flag into exit 0 instead of a daemon that never returns.
+for bin in dacsizer dacd; do
+    status=0
+    ./target/debug/$bin --faults 'panic@0' --help >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "FAIL: $bin --faults exited $status; want 2 (unknown argument)"
+        exit 1
+    fi
+done
 dacd_log="${TMPDIR:-/tmp}/ctsdac_dacd_smoke.log"
 ./target/debug/dacd --addr 127.0.0.1:0 --workers 2 \
-    --faults panic@0,delay@1:120 > "$dacd_log" 2>&1 &
+    --failpoints 'panic@pool.chunk[0]:1,delay=120@pool.chunk[1]:1' > "$dacd_log" 2>&1 &
 dacd_pid=$!
 dacd_addr=""
 for _ in $(seq 1 100); do

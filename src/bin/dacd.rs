@@ -5,8 +5,8 @@
 //!      [--inflight N] [--rate R] [--burst B] [--breaker N]
 //!      [--read-timeout-ms MS] [--deadline-ms MS] [--cache N]
 //!      [--cache-bytes N] [--store DIR] [--fsync-ms MS]
-//!      [--store-cap-bytes N] [--faults SPEC] [--failpoints SPEC]
-//!      [--failpoint-seed N] [--stdin-shutdown] [--help]
+//!      [--store-cap-bytes N] [--failpoints SPEC] [--failpoint-seed N]
+//!      [--stdin-shutdown] [--help]
 //! ```
 //!
 //! Serves `POST /v1/sizing`, `/v1/sweep`, `/v1/yield` (JSON bodies; see
@@ -15,32 +15,28 @@
 //! to stdout as `listening on ADDR` once the socket is live, so scripts
 //! can bind port 0 and scrape the real port.
 //!
-//! `--faults SPEC` scripts fault injection for chaos testing:
-//! comma-separated `panic@CHUNK[:ATTEMPTS]`, `nan@CHUNK`,
-//! `delay@CHUNK:MS` items are armed on every request's supervised pool
-//! (worker panics under load), and `lag@MS` delays every HTTP response
-//! by `MS` milliseconds at the service layer (slow-server injection for
-//! client-timeout testing).
-//!
 //! `--store DIR` makes the result cache durable: startup replays the
 //! crash-consistent segment log in `DIR` (bit-identical warm cache),
 //! every miss-fill is persisted write-behind, and `kill -9` loses at most
 //! the last un-synced fsync window (`--fsync-ms`).
 //!
 //! `--failpoints SPEC` arms the deterministic failpoint registry
-//! (comma-separated `kind@site[:policy]`, e.g.
-//! `short_write@store.append:3,eintr@http.read:1/5`), seeded by
+//! (comma-separated `kind@site[[key]][:policy]`), seeded by
 //! `--failpoint-seed`; the `CTSDAC_FAILPOINTS` / `CTSDAC_FAILPOINT_SEED`
-//! environment variables are honoured as well (CLI wins).
+//! environment variables are honoured as well (CLI wins). I/O faults:
+//! `short_write@store.append:3,eintr@http.read:1/5`. Chaos drills:
+//! `panic@pool.chunk[0]:1,delay=120@pool.chunk[1]:1` panics or stalls
+//! chunk attempts of every request's supervised pool (a keyed site: `:1`
+//! is each run's first attempt of that chunk), and `lag=MS@service.handler`
+//! holds every HTTP response back `MS` milliseconds (slow-server
+//! injection for client-timeout testing).
 //!
 //! With `--stdin-shutdown` the daemon also drains when stdin reaches EOF
 //! — the supervisor-friendly alternative to `POST /v1/shutdown`.
 
-use ctsdac::runtime::FaultPlan;
 use ctsdac::store::StoreConfig;
 use ctsdac::service::server::{start, ServerConfig};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn usage() -> &'static str {
@@ -62,8 +58,9 @@ fn usage() -> &'static str {
      \x20    [--store DIR]          durable result store directory (default: memory-only)\n\
      \x20    [--fsync-ms MS]        store fsync batching interval (default 25)\n\
      \x20    [--store-cap-bytes N]  on-disk store byte cap before compaction (default 67108864)\n\
-     \x20    [--faults SPEC]        chaos injection: panic@C[:A],nan@C,delay@C:MS,lag@MS\n\
-     \x20    [--failpoints SPEC]    failpoint arming: kind@site[:N|N..|1/N],... \n\
+     \x20    [--failpoints SPEC]    failpoint arming: kind@site[[key]][:N|N..|1/N],...\n\
+     \x20                           (e.g. panic@pool.chunk[0]:1,delay=120@pool.chunk[1]:1,\n\
+     \x20                            lag=50@service.handler,short_write@store.append:3)\n\
      \x20    [--failpoint-seed N]   seed for 1/N failpoint policies (default 0)\n\
      \x20    [--stdin-shutdown]     drain when stdin reaches EOF\n\
      \x20    [--help]\n\
@@ -80,51 +77,6 @@ struct Args {
     stdin_shutdown: bool,
     failpoints: Option<String>,
     failpoint_seed: u64,
-}
-
-/// Parses the `--faults` spec into the runtime plan + service lag.
-fn parse_faults(spec: &str) -> Result<(Option<FaultPlan>, Option<Duration>), String> {
-    let mut plan = FaultPlan::new();
-    let mut scheduled = false;
-    let mut lag = None;
-    for item in spec.split(',').filter(|s| !s.is_empty()) {
-        let (kind, rest) = item
-            .split_once('@')
-            .ok_or_else(|| format!("fault item '{item}' is missing '@'"))?;
-        match kind {
-            "panic" => {
-                scheduled = true;
-                plan = match rest.split_once(':') {
-                    Some((chunk, attempts)) => {
-                        let chunk = chunk.parse().map_err(|e| format!("'{item}': {e}"))?;
-                        let attempts = attempts.parse().map_err(|e| format!("'{item}': {e}"))?;
-                        plan.panic_at_for(chunk, attempts)
-                    }
-                    None => plan.panic_at(rest.parse().map_err(|e| format!("'{item}': {e}"))?),
-                };
-            }
-            "nan" => {
-                scheduled = true;
-                plan = plan.nan_at(rest.parse().map_err(|e| format!("'{item}': {e}"))?);
-            }
-            "delay" => {
-                let (chunk, ms) = rest
-                    .split_once(':')
-                    .ok_or_else(|| format!("'{item}' needs 'delay@CHUNK:MS'"))?;
-                scheduled = true;
-                plan = plan.delay_ms_at(
-                    chunk.parse().map_err(|e| format!("'{item}': {e}"))?,
-                    ms.parse().map_err(|e| format!("'{item}': {e}"))?,
-                );
-            }
-            "lag" => {
-                let ms: u64 = rest.parse().map_err(|e| format!("'{item}': {e}"))?;
-                lag = Some(Duration::from_millis(ms));
-            }
-            other => return Err(format!("unknown fault kind '{other}'")),
-        }
-    }
-    Ok((scheduled.then_some(plan), lag))
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -218,11 +170,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     0,
                     usize::MAX,
                 )? as u64
-            }
-            "--faults" => {
-                let (plan, lag) = parse_faults(&value("--faults", &mut it)?)?;
-                cfg.engine.faults = plan.map(Arc::new);
-                cfg.response_lag = lag;
             }
             "--stdin-shutdown" => stdin_shutdown = true,
             other => return Err(format!("unknown argument '{other}'")),

@@ -7,7 +7,7 @@
 //!          [--yield-trials N] [--yield-ci C]
 //!          [--jobs N] [--deadline SECS] [--checkpoint PATH] [--resume]
 //!          [--progress] [--trace[=json|human]] [--metrics-out PATH]
-//!          [--faults SPEC]
+//!          [--failpoints SPEC] [--failpoint-seed N]
 //! dacsizer --serve HOST:PORT
 //! ```
 //!
@@ -52,9 +52,10 @@
 //! iterations, sweep points, MC trials — no wall-clock values) and is
 //! byte-identical across `--jobs` settings at the same seed; timings and
 //! scheduling counters live in `"nondeterministic"`. Either flag enables
-//! the metrics registry. `--faults SPEC` scripts supervised-pool fault
-//! injection for CI drills: a comma-separated list of `panic@CHUNK`,
-//! `nan@CHUNK` and `delay@CHUNK:MS` (implies the supervised runtime).
+//! the metrics registry. `--failpoints SPEC` arms the failpoint registry
+//! (seeded by `--failpoint-seed`) and implies the supervised runtime, where
+//! its sites live: `panic@pool.chunk[1]:1,nan@pool.chunk[3]:1` scripts pool
+//! faults for CI drills (`:1` is a chunk's first attempt, in every stage).
 //!
 //! # Exit codes
 //!
@@ -82,7 +83,7 @@ use ctsdac::core::DacSpec;
 use ctsdac::obs;
 use ctsdac::obs::TraceMode;
 use ctsdac::process::Technology;
-use ctsdac::runtime::{ExecPolicy, FaultPlan, McPlan, Progress};
+use ctsdac::runtime::{ExecPolicy, McPlan, Progress};
 use ctsdac::stats::sample::seeded_rng;
 use ctsdac::stats::YieldTest;
 use std::path::PathBuf;
@@ -143,11 +144,8 @@ struct Args {
     trace: Option<TraceMode>,
     /// Write the `ctsdac-metrics-v1` snapshot here after the run.
     metrics_out: Option<PathBuf>,
-    /// Scripted fault injection for the supervised pool, as the raw
-    /// `--faults` spec (validated at parse time, rebuilt per stage).
-    faults: Option<String>,
-    /// Deterministic I/O failpoint arming (`--failpoints`), as the raw
-    /// `kind@site[:policy]` spec; armed globally before the run.
+    /// Deterministic failpoint arming (`--failpoints`), as the raw
+    /// `kind@site[[key]][:policy]` spec; armed globally before the run.
     failpoints: Option<String>,
     /// Seed for `1/N` failpoint policies (`--failpoint-seed`).
     failpoint_seed: u64,
@@ -176,7 +174,6 @@ impl Default for Args {
             progress: false,
             trace: None,
             metrics_out: None,
-            faults: None,
             failpoints: None,
             failpoint_seed: 0,
         }
@@ -191,7 +188,7 @@ impl Args {
             || self.checkpoint.is_some()
             || self.resume
             || self.progress
-            || self.faults.is_some()
+            || self.failpoints.is_some()
     }
 
     /// Builds the execution policy for a supervised stage. `units` names
@@ -210,46 +207,8 @@ impl Args {
         if self.progress {
             policy.pool.progress = Some(Arc::new(move |p: &Progress| heartbeat(p, units)));
         }
-        if let Some(spec) = &self.faults {
-            // The spec was validated at parse time; a plan that fails to
-            // rebuild injects nothing rather than aborting the run.
-            if let Ok(plan) = parse_fault_plan(spec) {
-                policy.pool.faults = Some(Arc::new(plan));
-            }
-        }
         policy
     }
-}
-
-/// Parses a `--faults` spec: comma-separated `panic@CHUNK`, `nan@CHUNK`
-/// or `delay@CHUNK:MS` items, e.g. `panic@1,nan@3,delay@0:50`.
-fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::new();
-    for item in spec.split(',').filter(|s| !s.is_empty()) {
-        let (kind, rest) = item
-            .split_once('@')
-            .ok_or_else(|| format!("fault item '{item}' is missing '@CHUNK'"))?;
-        plan = match kind {
-            "panic" => {
-                let chunk = rest.parse().map_err(|e| format!("'{item}': {e}"))?;
-                plan.panic_at(chunk)
-            }
-            "nan" => {
-                let chunk = rest.parse().map_err(|e| format!("'{item}': {e}"))?;
-                plan.nan_at(chunk)
-            }
-            "delay" => {
-                let (chunk, ms) = rest
-                    .split_once(':')
-                    .ok_or_else(|| format!("'{item}' needs 'delay@CHUNK:MS'"))?;
-                let chunk = chunk.parse().map_err(|e| format!("'{item}': {e}"))?;
-                let ms = ms.parse().map_err(|e| format!("'{item}': {e}"))?;
-                plan.delay_ms_at(chunk, ms)
-            }
-            other => return Err(format!("unknown fault kind '{other}'")),
-        };
-    }
-    Ok(plan)
 }
 
 /// Single-line stderr heartbeat: chunks done/total, throughput in the
@@ -353,11 +312,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Command, String> {
             "--metrics-out" => {
                 args.metrics_out = Some(PathBuf::from(value()?));
             }
-            "--faults" => {
-                let spec = value()?;
-                parse_fault_plan(&spec).map_err(|e| format!("--faults: {e}"))?;
-                args.faults = Some(spec);
-            }
             "--failpoints" => {
                 let spec = value()?;
                 // Validate the grammar on a throwaway registry; the
@@ -460,9 +414,11 @@ fn usage() -> &'static str {
      [--swing V] [--seed S] [--yield-trials N] [--yield-ci C] \
      [--jobs N] [--deadline SECS] \
      [--checkpoint PATH] [--resume] [--progress] \
-     [--trace[=json|human]] [--metrics-out PATH] [--faults SPEC] \
+     [--trace[=json|human]] [--metrics-out PATH] \
      [--failpoints SPEC] [--failpoint-seed N]\n\
      \x20      dacsizer --serve HOST:PORT   (run the sizing daemon; see dacd --help)\n\
+     failpoints: kind@site[[key]][:N|N..|1/N],... e.g. panic@pool.chunk[1]:1,\
+     nan@pool.chunk[3]:1,delay=50@pool.chunk[0]:1 (implies supervision)\n\
      the simple-cell search is exact and DC-verifies only the chosen design; \
      --adaptive is accepted and ignored\n\
      exit codes: 0 ok, 2 invalid arguments, 3 empty design space, \
@@ -508,7 +464,7 @@ fn main() -> ExitCode {
         obs::set_metrics(true);
         obs::set_trace(args.trace);
     }
-    // I/O failpoints (journal appends etc.): CLI spec wins over the env.
+    // Failpoints (pool chunks, journal appends): CLI spec wins over the env.
     let armed = match &args.failpoints {
         Some(spec) => ctsdac::failpoint::global().arm(spec, args.failpoint_seed),
         None => ctsdac::failpoint::arm_global_from_env(),
@@ -771,15 +727,17 @@ mod tests {
 
     #[test]
     fn fault_specs_parse_and_engage_supervision() {
-        let parsed = parse(&["--faults", "panic@1,nan@3,delay@0:25"]).expect("valid");
-        let Command::Run(a) = parsed else { panic!("expected run") };
-        assert_eq!(a.faults.as_deref(), Some("panic@1,nan@3,delay@0:25"));
-        assert!(a.supervised(), "--faults implies the supervised pool");
-        let policy = a.policy("pts", |p| p.clone());
-        assert!(policy.pool.faults.is_some());
-        for bad in ["panic", "oops@1", "delay@1", "panic@x", "delay@1:y"] {
-            assert!(parse(&["--faults", bad]).is_err(), "{bad} should be rejected");
+        let spec = "panic@pool.chunk[1]:1,nan@pool.chunk[3]:1,delay=25@pool.chunk[0]:1";
+        let Command::Run(a) = parse(&["--failpoints", spec]).expect("valid") else {
+            panic!("expected run")
+        };
+        assert_eq!(a.failpoints.as_deref(), Some(spec));
+        assert!(a.supervised(), "--failpoints implies the supervised pool");
+        for bad in ["panic", "oops@pool.chunk", "delay@pool.chunk[1]", "panic@pool.chunk[x]"] {
+            assert!(parse(&["--failpoints", bad]).is_err(), "{bad} should be rejected");
         }
+        // The retired grammar is an unknown flag now.
+        assert!(parse(&["--faults", "panic@1"]).is_err());
     }
 
     #[test]

@@ -17,10 +17,9 @@ use ctsdac::core::explore::{
 use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::DacSpec;
 use ctsdac::process::Technology;
-use ctsdac::runtime::FaultPlan;
+use ctsdac::failpoint::Registry;
 use ctsdac::runtime::{truncate_tail, ExecPolicy, JournalError, RuntimeError};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 const GRIDS: [usize; 5] = [2, 10, 33, 64, 96];
 const YIELDS: [f64; 4] = [0.9, 0.99, 0.997, 0.9999];
@@ -312,8 +311,8 @@ fn optimum_resumes_bit_identically_after_a_kill() {
             ));
             let _ = std::fs::remove_file(&journal);
             let mut policy = ExecPolicy::with_jobs(jobs).checkpoint_at(&journal);
-            let attempts = policy.pool.retries + 1;
-            policy.pool.faults = Some(Arc::new(FaultPlan::new().panic_at_for(11, attempts)));
+            policy.pool.failpoints =
+                Some(Registry::armed("panic@pool.chunk[11]", 0).expect("spec"));
             match space.optimize_supervised(objective, 2.5e-9, &policy) {
                 Err(SweepError::Runtime(RuntimeError::ChunkFailed { chunk: 11, .. })) => {}
                 other => panic!("jobs={jobs}: expected the run to die on row 11, got {other:?}"),
@@ -365,7 +364,8 @@ fn supervised_optimum_absorbs_faults_and_gauges_the_bounded_winner() {
     );
     for jobs in [1, 2, 8] {
         let mut policy = ExecPolicy::with_jobs(jobs);
-        policy.pool.faults = Some(Arc::new(FaultPlan::new().panic_at(1).nan_at(3)));
+        policy.pool.failpoints =
+            Some(Registry::armed("panic@pool.chunk[1]:1,nan@pool.chunk[3]:1", 0).expect("spec"));
         let sup = space
             .optimize_supervised(Objective::MinArea, 2.5e-9, &policy)
             .expect("faults are absorbed");

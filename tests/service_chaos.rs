@@ -6,15 +6,15 @@
 mod common;
 
 use common::{get, post};
-use ctsdac::runtime::{FaultPlan, RetryPolicy};
+use ctsdac::failpoint::Registry;
+use ctsdac::runtime::RetryPolicy;
 use ctsdac::service::server::{start, ServerConfig};
 use ctsdac::service::{BreakerConfig, EngineConfig};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn server_with(engine_faults: Option<FaultPlan>, breaker: BreakerConfig) -> ServerConfig {
+fn server_with(failpoints: Option<&str>, breaker: BreakerConfig) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 4,
@@ -22,7 +22,7 @@ fn server_with(engine_faults: Option<FaultPlan>, breaker: BreakerConfig) -> Serv
         breaker,
         engine: EngineConfig {
             default_deadline: Some(Duration::from_secs(30)),
-            faults: engine_faults.map(Arc::new),
+            failpoints: failpoints.map(|spec| Registry::armed(spec, 0).expect("spec")),
             max_jobs: 2,
         },
         read_timeout: Duration::from_millis(300),
@@ -42,7 +42,7 @@ fn lenient_breaker() -> BreakerConfig {
 #[test]
 fn worker_panics_under_load_surface_as_typed_500s_not_crashes() {
     let server = start(server_with(
-        Some(FaultPlan::new().panic_at_for(0, 64)),
+        Some("panic@pool.chunk[0]"),
         lenient_breaker(),
     ))
     .expect("bind");
@@ -72,7 +72,7 @@ fn worker_panics_under_load_surface_as_typed_500s_not_crashes() {
 #[test]
 fn breaker_trips_after_consecutive_failures_and_reopens_on_failed_probe() {
     let server = start(server_with(
-        Some(FaultPlan::new().panic_at_for(0, 64)),
+        Some("panic@pool.chunk[0]"),
         BreakerConfig {
             threshold: 2,
             policy: RetryPolicy {
@@ -123,7 +123,7 @@ fn breaker_trips_after_consecutive_failures_and_reopens_on_failed_probe() {
 #[test]
 fn uncounted_probe_outcome_resolves_the_breaker_instead_of_wedging_it() {
     let server = start(server_with(
-        Some(FaultPlan::new().panic_at_for(0, 64)),
+        Some("panic@pool.chunk[0]"),
         BreakerConfig {
             threshold: 1,
             policy: RetryPolicy {
@@ -221,11 +221,8 @@ fn slow_clients_and_mid_body_disconnects_never_wedge_the_daemon() {
 #[test]
 fn short_deadline_yields_typed_504_via_runtime_cancellation() {
     // Every chunk takes >= 80 ms; a 40 ms deadline cannot finish chunk 1.
-    let mut plan = FaultPlan::new();
-    for chunk in 0..4 {
-        plan = plan.delay_ms_at(chunk, 80);
-    }
-    let server = start(server_with(Some(plan), lenient_breaker())).expect("bind");
+    let plan = (0..4).map(|c| format!("delay=80@pool.chunk[{c}]:1")).collect::<Vec<_>>();
+    let server = start(server_with(Some(&plan.join(",")), lenient_breaker())).expect("bind");
     let addr = server.local_addr();
 
     let reply = post(addr, "/v1/sizing", "{\"grid\":8,\"deadline_ms\":40}").expect("reply");
@@ -242,11 +239,8 @@ fn short_deadline_yields_typed_504_via_runtime_cancellation() {
 #[test]
 fn graceful_drain_completes_in_flight_work() {
     // Chunk delays make the in-flight request provably span the drain.
-    let mut plan = FaultPlan::new();
-    for chunk in 0..8 {
-        plan = plan.delay_ms_at(chunk, 60);
-    }
-    let server = start(server_with(Some(plan), lenient_breaker())).expect("bind");
+    let plan = (0..8).map(|c| format!("delay=60@pool.chunk[{c}]:1")).collect::<Vec<_>>();
+    let server = start(server_with(Some(&plan.join(",")), lenient_breaker())).expect("bind");
     let addr = server.local_addr();
 
     let in_flight =

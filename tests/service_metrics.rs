@@ -38,7 +38,7 @@ fn run_load(jobs: usize, store: Option<&std::path::Path>) -> String {
         cache_capacity: 1, // tiny cache: every distinct request computes
         engine: ctsdac::service::EngineConfig {
             default_deadline: Some(Duration::from_secs(30)),
-            faults: None,
+            failpoints: None,
             max_jobs: 8,
         },
         store: store.map(ctsdac::store::StoreConfig::new),

@@ -26,7 +26,7 @@ fn tiny_server() -> ctsdac::service::ServerHandle {
         breaker: BreakerConfig::default(),
         engine: EngineConfig {
             default_deadline: Some(Duration::from_secs(30)),
-            faults: None,
+            failpoints: None,
             max_jobs: 2,
         },
         read_timeout: Duration::from_secs(5),

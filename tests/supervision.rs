@@ -9,9 +9,9 @@ use ctsdac::core::explore::DesignSpace;
 use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::validate::saturation_yield_supervised;
 use ctsdac::core::DacSpec;
-use ctsdac::runtime::{truncate_tail, ExecPolicy, FaultPlan, McPlan};
+use ctsdac::failpoint::Registry;
+use ctsdac::runtime::{truncate_tail, ExecPolicy, McPlan};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
@@ -34,13 +34,18 @@ fn sweep_is_bit_identical_for_jobs_1_vs_8_under_faults() {
         .value;
 
     // 8 workers; two injected panics, one chunk stalled past its deadline.
-    let plan = Arc::new(FaultPlan::new().panic_at(0).panic_at(5).delay_ms_at(3, 150));
+    let fp = Registry::armed(
+        "panic@pool.chunk[0]:1,panic@pool.chunk[5]:1,delay=150@pool.chunk[3]:1",
+        0,
+    )
+    .expect("spec");
     let mut policy = ExecPolicy::with_jobs(8);
     policy.pool.deadline = Some(Duration::from_millis(50));
-    policy.pool.faults = Some(plan.clone());
+    policy.pool.failpoints = Some(fp.clone());
     let faulty = space.sweep_supervised(&policy).expect("faulty sweep");
 
-    assert!(plan.fired() >= 3, "only {} faults fired", plan.fired());
+    let fired = fp.fired("pool.chunk");
+    assert!(fired >= 3, "only {fired} faults fired");
     assert!(
         faulty.faults.len() >= 3,
         "faults not surfaced: {:?}",
@@ -96,14 +101,14 @@ fn mc_10k_trials_is_bit_identical_for_jobs_1_vs_8_and_across_resume() {
         .expect("sequential run");
 
     // 8 workers with a panic and a deadline overrun injected.
-    let faults = Arc::new(FaultPlan::new().panic_at(2).delay_ms_at(9, 150));
+    let fp = Registry::armed("panic@pool.chunk[2]:1,delay=150@pool.chunk[9]:1", 0).expect("spec");
     let mut policy = ExecPolicy::with_jobs(8);
     policy.pool.deadline = Some(Duration::from_millis(50));
-    policy.pool.faults = Some(faults.clone());
+    policy.pool.failpoints = Some(fp.clone());
     let parallel =
         saturation_yield_supervised(&spec, 0.8, 1.30, &plan, &policy).expect("parallel run");
 
-    assert!(faults.fired() >= 2);
+    assert!(fp.fired("pool.chunk") >= 2);
     assert_eq!(serial.value.mc, parallel.value.mc, "yield counts diverged");
     assert_eq!(
         serial.value.mc.trials(),

@@ -9,9 +9,9 @@
 use ctsdac::core::explore::{DesignPoint, DesignSpace, SweepError, SweepMode};
 use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::DacSpec;
-use ctsdac::runtime::{truncate_tail, ExecPolicy, FaultPlan, JournalError, RuntimeError};
+use ctsdac::failpoint::Registry;
+use ctsdac::runtime::{truncate_tail, ExecPolicy, JournalError, RuntimeError};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 const GRID: usize = 16;
@@ -92,20 +92,22 @@ fn supervised_sweep_survives_injected_faults_bit_identically() {
     let lanes = space();
     let sequential = lanes.sweep();
     for jobs in [1usize, 2, 8] {
-        let plan = Arc::new(
-            FaultPlan::new()
-                .panic_at(1)
-                .nan_at(3)
-                .panic_at(6)
-                .nan_at(GRID as u64 - 1)
-                .delay_ms_at(4, 150),
-        );
+        let fp = Registry::armed(
+            &format!(
+                "panic@pool.chunk[1]:1,nan@pool.chunk[3]:1,panic@pool.chunk[6]:1,\
+                 nan@pool.chunk[{}]:1,delay=150@pool.chunk[4]:1",
+                GRID - 1
+            ),
+            0,
+        )
+        .expect("spec");
         let mut policy = ExecPolicy::with_jobs(jobs);
         policy.pool.deadline = Some(Duration::from_millis(50));
-        policy.pool.faults = Some(plan.clone());
+        policy.pool.failpoints = Some(fp.clone());
 
         let faulty = lanes.sweep_supervised(&policy).expect("faulty lanes sweep");
-        assert!(plan.fired() >= 5, "jobs={jobs}: only {} faults fired", plan.fired());
+        let fired = fp.fired("pool.chunk");
+        assert!(fired >= 5, "jobs={jobs}: only {fired} faults fired");
         assert!(
             faulty.faults.len() >= 5,
             "jobs={jobs}: faults not surfaced: {:?}",
@@ -133,8 +135,7 @@ fn supervised_sweep_resumes_bit_identically_after_a_kill() {
         let _ = std::fs::remove_file(&journal);
 
         let mut policy = ExecPolicy::with_jobs(jobs).checkpoint_at(&journal);
-        let attempts = policy.pool.retries + 1;
-        policy.pool.faults = Some(Arc::new(FaultPlan::new().panic_at_for(11, attempts)));
+        policy.pool.failpoints = Some(Registry::armed("panic@pool.chunk[11]", 0).expect("spec"));
         match lanes.sweep_supervised(&policy) {
             Err(SweepError::Runtime(RuntimeError::ChunkFailed { chunk: 11, .. })) => {}
             other => panic!("jobs={jobs}: expected the run to die on row 11, got {other:?}"),
