@@ -6,7 +6,7 @@
 //!
 //! Times three yield-estimation strategies on the paper's 12-bit segmented
 //! spec at the spec unit-source sigma and writes the measurements as
-//! `BENCH_mc.json`:
+//! `BENCH_mc.json` (schema `ctsdac-mc-bench-v2`):
 //!
 //! * `legacy` — the pre-engine flow: three independent MC loops
 //!   (`inl_yield_mc`, `dnl_yield_mc`, `monotonicity_yield_mc`), each with
@@ -14,19 +14,17 @@
 //! * `reference` — one engine run through [`YieldMode::Reference`]: common
 //!   random numbers across the three metrics but still the scalar
 //!   allocating chain per trial;
-//! * `batched` — the scalar fused path ([`YieldMode::Batched`]): one
-//!   allocation-free screened classification per trial, falling back to
-//!   the exact fused pass only for limit-grazing trials;
-//! * `lanes` — the production path: the same screened classification
-//!   evaluated eight trials at a time through the structure-of-arrays
-//!   lane kernel (`run_lanes::<8>`).
+//! * `lanes` — the production path: an allocation-free screened
+//!   classification evaluated eight trials at a time through the
+//!   structure-of-arrays lane kernel (`run_lanes::<8>`), falling back to
+//!   the reference chain only for limit-grazing trials.
 //!
-//! Before timing, the run cross-checks that `batched`, `lanes` and
-//! `reference` produce identical yield counts on the same seed (the
-//! engine's bit-identity guarantee) and records the verdicts in the JSON.
+//! Before timing, the run cross-checks that `lanes` and `reference`
+//! produce identical yield counts on the same seed (the engine's
+//! bit-identity guarantee) and records the verdict in the JSON.
 //!
 //! `--budget CODES` turns the run into a regression gate on *deterministic
-//! work*, not wall-clock: if the batched engine scans more than CODES
+//! work*, not wall-clock: if the lane engine scans more than CODES
 //! transfer-curve code-equivalents per trial (the screened classifier does
 //! one ~272-code block scan; a full curve is 4096 at 12 bits), the JSON is
 //! still written but the process exits non-zero. The CI `mc-bench-smoke`
@@ -152,23 +150,13 @@ fn main() -> ExitCode {
     };
     let check_trials = trials.min(500);
     let mut rng = seeded_rng(SEED);
-    let batched_check = engine.run(YieldMode::Batched, check_trials, &mut rng);
-    let mut rng = seeded_rng(SEED);
     let reference_check = engine.run(YieldMode::Reference, check_trials, &mut rng);
     let mut rng = seeded_rng(SEED);
     let lanes_check = engine.run_lanes::<8, _>(check_trials, &mut rng);
-    let bit_identical = match (&batched_check, &reference_check) {
-        (Ok(a), Ok(b)) => a == b,
-        _ => false,
-    };
     let lanes_identical = match (&lanes_check, &reference_check) {
         (Ok(a), Ok(b)) => a == b,
         _ => false,
     };
-    if !bit_identical {
-        eprintln!("error: batched and reference paths disagree on seed {SEED}");
-        return ExitCode::from(1);
-    }
     if !lanes_identical {
         eprintln!("error: lane and reference paths disagree on seed {SEED}");
         return ExitCode::from(1);
@@ -204,22 +192,8 @@ fn main() -> ExitCode {
     });
     let reference_yields = reference_yields.expect("reps >= 1");
 
-    // batched: the fused allocation-free pass, instrumented for the
-    // deterministic work budget.
-    let mut batched_engine = YieldEngine::new(&dac, sigma, limits).expect("validated above");
-    let mut batched_yields = None;
-    let batched_wall = time_best(args.reps, || {
-        let mut rng = seeded_rng(SEED);
-        batched_yields = Some(
-            batched_engine
-                .run(YieldMode::Batched, trials, &mut rng)
-                .expect("batched run"),
-        );
-    });
-    let batched_yields = batched_yields.expect("reps >= 1");
-    let codes_per_trial = batched_engine.codes_scanned() as f64 / batched_engine.trials_run() as f64;
-
-    // lanes: the production SoA kernel, eight trials per group.
+    // lanes: the production SoA kernel, eight trials per group,
+    // instrumented for the deterministic work budget.
     let mut lanes_engine = YieldEngine::new(&dac, sigma, limits).expect("validated above");
     let mut lanes_yields = None;
     let lanes_wall = time_best(args.reps, || {
@@ -231,8 +205,7 @@ fn main() -> ExitCode {
         );
     });
     let lanes_yields = lanes_yields.expect("reps >= 1");
-    let lanes_codes_per_trial =
-        lanes_engine.codes_scanned() as f64 / lanes_engine.trials_run() as f64;
+    let codes_per_trial = lanes_engine.codes_scanned() as f64 / lanes_engine.trials_run() as f64;
 
     // Observability overhead: the lane engine with the metrics registry
     // live versus the default compiled-in-but-disabled hooks. Same seed
@@ -262,8 +235,6 @@ fn main() -> ExitCode {
     obs::reset();
     let obs_overhead = obs_enabled_wall / obs_disabled_wall - 1.0;
 
-    let speedup_ref = reference_wall / batched_wall;
-    let speedup_legacy = legacy_wall / batched_wall;
     let speedup_lanes_ref = reference_wall / lanes_wall;
     let speedup_lanes_legacy = legacy_wall / lanes_wall;
     // The work budget recorded in the JSON: the caller's --budget if given,
@@ -274,13 +245,12 @@ fn main() -> ExitCode {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"ctsdac-mc-bench-v1\",");
+    let _ = writeln!(json, "  \"schema\": \"ctsdac-mc-bench-v2\",");
     let _ = writeln!(json, "  \"n_bits\": {},", spec.n_bits);
     let _ = writeln!(json, "  \"trials\": {trials},");
     let _ = writeln!(json, "  \"reps\": {},", args.reps);
     let _ = writeln!(json, "  \"sigma_unit\": {sigma:.8e},");
     let _ = writeln!(json, "  \"codes_per_curve\": {codes_per_curve},");
-    let _ = writeln!(json, "  \"bit_identical_batched_vs_reference\": {bit_identical},");
     let _ = writeln!(json, "  \"bit_identical_lanes_vs_reference\": {lanes_identical},");
     let _ = writeln!(
         json,
@@ -291,11 +261,6 @@ fn main() -> ExitCode {
         json,
         "  \"reference\": {},",
         strategy_json(reference_wall, trials, &reference_yields)
-    );
-    let _ = writeln!(
-        json,
-        "  \"batched\": {},",
-        strategy_json(batched_wall, trials, &batched_yields)
     );
     let _ = writeln!(
         json,
@@ -311,14 +276,6 @@ fn main() -> ExitCode {
     let _ = writeln!(
         json,
         "  \"per_trial_work_budget\": {recorded_budget:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_batched_over_reference\": {speedup_ref:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_batched_over_legacy\": {speedup_legacy:.3},"
     );
     let _ = writeln!(
         json,
@@ -349,19 +306,11 @@ fn main() -> ExitCode {
         trials as f64 / reference_wall,
     );
     println!(
-        "batched (fused) : {trials} trials in {:.3} ms -> {:.0} trials/sec \
-         ({codes_per_trial:.0} codes/trial)",
-        batched_wall * 1e3,
-        trials as f64 / batched_wall,
-    );
-    println!(
         "lanes (SoA x8)  : {trials} trials in {:.3} ms -> {:.0} trials/sec \
-         ({lanes_codes_per_trial:.0} codes/trial)",
+         ({codes_per_trial:.0} codes/trial)",
         lanes_wall * 1e3,
         trials as f64 / lanes_wall,
     );
-    println!("speedup batched/reference: {speedup_ref:.2}x");
-    println!("speedup batched/legacy   : {speedup_legacy:.2}x");
     println!("speedup lanes/reference  : {speedup_lanes_ref:.2}x");
     println!("speedup lanes/legacy     : {speedup_lanes_legacy:.2}x");
     println!(
@@ -373,14 +322,7 @@ fn main() -> ExitCode {
     if let Some(budget) = args.budget {
         if codes_per_trial > budget {
             eprintln!(
-                "error: batched engine scans {codes_per_trial:.1} codes per trial, \
-                 over the budget of {budget:.1}"
-            );
-            return ExitCode::from(1);
-        }
-        if lanes_codes_per_trial > budget {
-            eprintln!(
-                "error: lane engine scans {lanes_codes_per_trial:.1} codes per trial, \
+                "error: lane engine scans {codes_per_trial:.1} codes per trial, \
                  over the budget of {budget:.1}"
             );
             return ExitCode::from(1);

@@ -17,10 +17,10 @@
 //!   systematic components.
 //! * [`static_metrics`] — transfer function, INL (endpoint and best-fit),
 //!   DNL, and Monte-Carlo INL yield (validates the paper's eq. (1)).
-//! * [`yield_engine`] — batched, allocation-free Monte-Carlo yield engine:
-//!   one mismatch draw per trial, INL/DNL/monotonicity fused into a single
-//!   pass (bit-identical to the scalar reference path), variance-reduced
-//!   draws, sequential early stopping and the supervised pooled driver.
+//! * [`yield_engine`] — Monte-Carlo yield engine: one mismatch draw per
+//!   trial decides INL, DNL and monotonicity together through the
+//!   screened lane classifier (bit-identical to the scalar reference
+//!   chain), sequentially or under the supervised pooled driver.
 //! * [`transient`] — sample-accurate output waveform with two-pole
 //!   settling, skew and feedthrough; full-scale settling measurement
 //!   (Fig. 6).
@@ -66,6 +66,5 @@ pub use sine::SineTest;
 pub use static_metrics::TransferFunction;
 pub use transient::{TransientConfig, TransientSim};
 pub use yield_engine::{
-    fused_yields_crn, fused_yields_supervised, FusedMetrics, FusedYieldError, FusedYields,
-    YieldEngine, YieldLimits, YieldMetric, YieldMode, YieldScratch,
+    FusedMetrics, FusedYieldError, FusedYields, YieldEngine, YieldLimits, YieldMode, YieldScratch,
 };

@@ -87,8 +87,7 @@ impl TransferFunction {
     /// The summation convention is fixed: a code's binary cells accumulate
     /// in index order, its unary cells in switching-rank order, and the
     /// level is `binary_part + unary_part`. [`Self::compute_fast`] uses
-    /// the same convention, so the two paths agree **bitwise** — a
-    /// property the batched yield engine's cross-checks rely on (see the
+    /// the same convention, so the two paths agree **bitwise** (see the
     /// `proptests` suite).
     pub fn compute(dac: &SegmentedDac, errors: &CellErrors) -> Self {
         let b = dac.spec().binary_bits;

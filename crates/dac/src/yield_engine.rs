@@ -1,31 +1,23 @@
-//! Batched, allocation-free Monte-Carlo yield engine.
+//! Monte-Carlo static-yield engine: one production kernel, one oracle.
 //!
-//! [`inl_yield_mc`](crate::static_metrics::inl_yield_mc) and its DNL /
-//! monotonicity siblings each re-draw independent mismatch samples,
-//! rebuild the whole transfer curve per trial and allocate `levels` /
-//! `inl` / `dnl` vectors on every iteration — three separate MC loops
-//! over the same physics. This module replaces them with one engine that
+//! Every trial draws **one mismatch vector** and decides all three
+//! pass/fail metrics on it — INL, DNL and monotonicity (common random
+//! numbers across metrics). Two paths evaluate a trial:
 //!
-//! * draws **one mismatch vector per trial** and evaluates all three
-//!   pass/fail metrics on it (common random numbers across metrics), and
-//! * computes INL, DNL and monotonicity in a **single fused pass** over
-//!   the transfer curve, writing into reusable [`YieldScratch`] buffers —
-//!   zero allocation per trial.
+//! * the **lane classifier** ([`YieldEngine::run_lanes`],
+//!   [`YieldEngine::flags_lanes`], [`fused_yields_supervised_lanes`]),
+//!   the production kernel, described below; and
+//! * [`YieldMode::Reference`], the scalar allocating chain
+//!   ([`CellErrors`] → [`TransferFunction::compute_fast`] →
+//!   `inl_max_abs`/`dnl_max_abs`/`is_monotone`), the one oracle the lane
+//!   decisions are certified against.
 //!
-//! # Bit-identity guarantees
+//! The legacy [`inl_yield_mc`](crate::static_metrics::inl_yield_mc) loop
+//! and its DNL / monotonicity siblings draw the same per-trial stream and
+//! apply the same pass predicates, so each of their single-metric yields
+//! equals the engine's for the same seed.
 //!
-//! The fused pass is a loop restructure, not a numerical approximation:
-//! every floating-point expression matches the scalar reference chain
-//! ([`CellErrors::random`] → [`TransferFunction::compute_fast`] →
-//! `inl_max_abs`/`dnl_max_abs`/`is_monotone`) operation for operation, so
-//! [`YieldMode::Batched`] and [`YieldMode::Reference`] produce
-//! **bit-identical** metrics — and therefore identical yield counts — for
-//! the same RNG stream. The scalar path is kept precisely for that
-//! cross-check. On top, the supervised driver
-//! ([`fused_yields_supervised`]) keeps per-chunk seeded RNG streams, so
-//! pooled results are bit-identical for any `--jobs` value.
-//!
-//! # The screened classifier
+//! # The screened lane classifier
 //!
 //! Yield estimation only needs the pass/fail *decision* per trial, not
 //! the metric values. The segmented architecture makes that decision
@@ -33,68 +25,42 @@
 //! `k = t·2^b + r`, the INL decomposes (in real arithmetic) into a
 //! per-residue term plus a per-block term, in-block DNL steps repeat the
 //! binary deltas in every block, and only the `n_unary` block-boundary
-//! codes need individual treatment. The screened values differ from the
-//! exact fused-pass floats by bounded rounding noise, so the classifier
-//! brackets each metric inside a rigorous 64-ulp band and decides
-//! pass/fail only when the limit lies outside the band; the rare trial
-//! whose metric grazes its limit falls back to the exact fused walk.
-//! Decisions — and therefore yield counts — remain **bit-identical** to
-//! the exact pass (and hence to [`YieldMode::Reference`]), while the
-//! per-trial work drops from one full transfer curve (4096 codes at
-//! 12 bits) to one block scan (~272 codes' worth).
+//! codes need individual treatment. The classifier runs on `W` trials at
+//! once in `[f64; W]` lanes. Its screened values differ from the exact
+//! transfer-curve floats by bounded rounding noise, so it brackets each
+//! metric inside a rigorous 64-ulp band and decides pass/fail only when
+//! the limit lies outside the band; the rare lane whose metric grazes its
+//! limit is resolved by the Reference chain on that lane's draw.
+//! Decisions — and therefore yield counts — are **bit-identical** to
+//! [`YieldMode::Reference`], while the per-trial work drops from one full
+//! transfer curve (4096 codes at 12 bits) to one block scan (~272 codes'
+//! worth).
 //!
-//! # Variance reduction and early stopping
+//! # Supervision
 //!
-//! [`YieldEngine::run_reduced`] draws trials through a
-//! [`VarianceReduction`] scheme (antithetic pairs, stratified LHS
-//! blocks), and [`YieldEngine::run_sequential`] wires a
-//! [`YieldTest`] Wilson-interval stopping rule so a pass/fail verdict
-//! against a target yield terminates as soon as the interval clears it.
-//! [`fused_yields_crn`] shares one draw per trial across *design points*
-//! (different unit-source sigmas), making yield differences low-variance.
+//! [`fused_yields_supervised_lanes`] runs the lane classifier under the
+//! supervised pool with per-chunk seeded RNG streams, so pooled results
+//! are bit-identical for any `--jobs` value, any lane width and across
+//! kill + resume.
 
 use crate::architecture::SegmentedDac;
 use crate::errors::CellErrors;
 use crate::static_metrics::{positive_limit, MetricError, TransferFunction};
 use core::fmt;
 use ctsdac_obs as obs;
-use ctsdac_runtime::{yield_vector_supervised, ExecPolicy, McPlan, RuntimeError, Supervised};
+use ctsdac_runtime::{
+    yield_vector_supervised_chunked, ExecPolicy, McPlan, RuntimeError, Supervised,
+};
 use ctsdac_stats::rng::Rng;
 use ctsdac_stats::sample::NormalSampler;
-use ctsdac_stats::{
-    NormalDrawPlan, SequentialYield, StatsError, VarianceReduction, YieldEstimate, YieldTest,
-};
+use ctsdac_stats::{StatsError, YieldEstimate};
 
-/// Which evaluation path a yield run uses.
+/// Which scalar evaluation path [`YieldEngine::trial`] takes. The lane
+/// classifier is the production path; `Reference` is its only oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum YieldMode {
-    /// The fused single-pass engine (the production path).
-    Batched,
-    /// The scalar allocating chain (`CellErrors` → `TransferFunction`),
-    /// kept for bitwise cross-checks against `Batched`.
+    /// The scalar allocating chain (`CellErrors` → `TransferFunction`).
     Reference,
-}
-
-/// The pass/fail metric a sequential test gates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum YieldMetric {
-    /// `max|INL| < inl_limit` (the paper's eq. (1) yield).
-    Inl,
-    /// `max|DNL| < dnl_limit`.
-    Dnl,
-    /// Monotone transfer characteristic.
-    Monotonicity,
-}
-
-impl YieldMetric {
-    /// Position of this metric in `[inl, dnl, monotonicity]` flag arrays.
-    pub fn index(self) -> usize {
-        match self {
-            Self::Inl => 0,
-            Self::Dnl => 1,
-            Self::Monotonicity => 2,
-        }
-    }
 }
 
 /// Pass/fail limits for the fused metrics (LSB).
@@ -137,22 +103,13 @@ pub struct FusedMetrics {
 }
 
 impl FusedMetrics {
-    /// Pass flags in [`YieldMetric`] order: `[inl, dnl, monotonicity]`.
+    /// Pass flags in `[inl, dnl, monotonicity]` order.
     pub fn flags(&self, limits: &YieldLimits) -> [bool; 3] {
         [
             self.inl_max < limits.inl,
             self.dnl_max < limits.dnl,
             self.monotone,
         ]
-    }
-
-    /// The pass flag for one metric.
-    pub fn passes(&self, metric: YieldMetric, limits: &YieldLimits) -> bool {
-        match metric {
-            YieldMetric::Inl => self.inl_max < limits.inl,
-            YieldMetric::Dnl => self.dnl_max < limits.dnl,
-            YieldMetric::Monotonicity => self.monotone,
-        }
     }
 }
 
@@ -178,31 +135,19 @@ impl FusedYields {
     }
 }
 
-/// Reusable per-engine buffers: one mismatch draw plus the segmented
-/// transfer-curve tables, sized once for a converter and overwritten in
-/// place every trial.
+/// Reusable per-engine buffer holding one trial's mismatch draw, sized
+/// once for a converter and overwritten in place every trial.
 #[derive(Debug, Clone)]
 pub struct YieldScratch {
     /// Standard-normal draw of the current trial, one per cell.
     zs: Vec<f64>,
-    /// Per-cell relative errors of the current trial (`scale ⊙ zs`).
-    rel: Vec<f64>,
-    /// Binary sub-DAC level per residue (`2^b` entries).
-    bin_levels: Vec<f64>,
-    /// Unary cumulative sums in switching-rank order (`n_unary + 1`).
-    unary_cum: Vec<f64>,
 }
 
 impl YieldScratch {
-    /// Allocates scratch sized for `dac` (the only allocation the
-    /// batched path ever performs).
+    /// Allocates scratch sized for `dac`.
     pub fn for_dac(dac: &SegmentedDac) -> Self {
-        let seg = 1usize << dac.spec().binary_bits;
         Self {
             zs: vec![0.0; dac.n_cells()],
-            rel: vec![0.0; dac.n_cells()],
-            bin_levels: vec![0.0; seg],
-            unary_cum: vec![0.0; dac.n_unary() + 1],
         }
     }
 }
@@ -239,7 +184,7 @@ impl<const W: usize> LaneScratch<W> {
     }
 }
 
-/// Batched Monte-Carlo yield engine for one converter instance.
+/// Monte-Carlo yield engine for one converter instance.
 ///
 /// # Examples
 ///
@@ -247,7 +192,7 @@ impl<const W: usize> LaneScratch<W> {
 /// # fn main() -> Result<(), ctsdac_dac::static_metrics::MetricError> {
 /// use ctsdac_core::DacSpec;
 /// use ctsdac_dac::architecture::SegmentedDac;
-/// use ctsdac_dac::yield_engine::{YieldEngine, YieldLimits, YieldMode};
+/// use ctsdac_dac::yield_engine::{YieldEngine, YieldLimits};
 /// use ctsdac_stats::sample::seeded_rng;
 ///
 /// let spec = DacSpec::new(8, 4, 0.997, DacSpec::paper_12bit().env,
@@ -256,7 +201,7 @@ impl<const W: usize> LaneScratch<W> {
 /// let mut engine = YieldEngine::new(&dac, spec.sigma_unit_spec(),
 ///                                   YieldLimits::half_lsb())?;
 /// let mut rng = seeded_rng(42);
-/// let yields = engine.run(YieldMode::Batched, 200, &mut rng)?;
+/// let yields = engine.run_lanes::<8, _>(200, &mut rng)?;
 /// assert!(yields.inl.estimate() > 0.95);
 /// // CRN: the three metrics came from the same 200 draws.
 /// assert_eq!(yields.dnl.trials(), 200);
@@ -332,22 +277,21 @@ impl<'a> YieldEngine<'a> {
     }
 
     /// Deterministic work counter in transfer-curve-code equivalents:
-    /// a screened classification adds one block scan
-    /// (`2^b + n_unary + 1`), an exact fused walk (an explicit
-    /// [`Self::trial`] or a screen fallback) adds the full curve. A
-    /// regression that re-walks the curve per trial shows up here even
-    /// on a noisy machine.
+    /// a lane classification adds one block scan (`2^b + n_unary + 1`)
+    /// per trial, a Reference evaluation (an explicit [`Self::trial`] or
+    /// a lane fallback) adds the full curve. A regression that re-walks
+    /// the curve per trial shows up here even on a noisy machine.
     pub fn codes_scanned(&self) -> u64 {
         self.codes_scanned
     }
 
-    /// Trials evaluated since construction (either mode).
+    /// Trials evaluated since construction (either path).
     pub fn trials_run(&self) -> u64 {
         self.trials_run
     }
 
-    /// Screened classifications that had to fall back to the exact fused
-    /// pass because a metric grazed its limit's rounding band.
+    /// Lane classifications that had to fall back to the Reference chain
+    /// because a metric grazed its limit's rounding band.
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks
     }
@@ -364,280 +308,25 @@ impl<'a> YieldEngine<'a> {
     /// metrics on it through the chosen path.
     pub fn trial<R: Rng + ?Sized>(&mut self, mode: YieldMode, rng: &mut R) -> FusedMetrics {
         self.draw(rng);
-        self.eval(mode)
-    }
-
-    /// Draws one trial and returns its pass/fail flags in
-    /// `[inl, dnl, monotonicity]` order. For [`YieldMode::Batched`] this
-    /// takes the screened-classifier fast path; the decisions are
-    /// bit-identical to [`Self::trial`]`.flags(..)` in either mode.
-    pub fn trial_flags<R: Rng + ?Sized>(&mut self, mode: YieldMode, rng: &mut R) -> [bool; 3] {
-        self.draw(rng);
-        match mode {
-            YieldMode::Batched => self.classify_batched(),
-            YieldMode::Reference => {
-                let m = self.eval(YieldMode::Reference);
-                m.flags(&self.limits)
-            }
-        }
-    }
-
-    /// Evaluates the metrics of the already-drawn trial vector.
-    fn eval(&mut self, mode: YieldMode) -> FusedMetrics {
         self.trials_run += 1;
         obs::incr(obs::Counter::YieldTrials);
         match mode {
-            YieldMode::Batched => self.eval_batched(),
             YieldMode::Reference => self.eval_reference(),
         }
     }
 
-    /// The fused single pass: scale the draw, rebuild the segmented
-    /// tables in place, then walk the transfer curve once accumulating
-    /// INL, DNL and monotonicity together. Every expression mirrors the
-    /// scalar reference chain, keeping the result bitwise identical.
-    fn eval_batched(&mut self) -> FusedMetrics {
-        let dac = self.dac;
-        let b = dac.spec().binary_bits;
-        let n_bin = b as usize;
-        let seg = 1usize << b;
-        let n_unary = dac.n_unary();
-        let weights = dac.weights();
-        let s = &mut self.scratch;
-
-        // rel = scale ⊙ z: `(σ_unit/√w) * z`, the exact per-cell
-        // expression of `CellErrors::random`.
-        for i in 0..s.rel.len() {
-            s.rel[i] = self.scale[i] * s.zs[i];
-        }
-
-        // Binary sub-DAC level per residue, accumulated in index order
-        // exactly like `compute_fast`.
-        for (r, slot) in s.bin_levels.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for i in 0..n_bin {
-                if (r >> i) & 1 == 1 {
-                    acc += weights[i] as f64 * (1.0 + s.rel[i]);
-                }
-            }
-            *slot = acc;
-        }
-
-        // Unary cumulative sums in switching-rank order.
-        s.unary_cum[0] = 0.0;
-        let mut acc = 0.0;
-        for (rank, (&cell, &w)) in self.unary_cells.iter().zip(&self.unary_w).enumerate() {
-            acc += w * (1.0 + s.rel[cell]);
-            s.unary_cum[rank + 1] = acc;
-        }
-
-        // One fused walk over all codes `k = t·2^b + r`.
-        let n_codes = dac.max_code() + 1;
-        let first = s.bin_levels[0] + s.unary_cum[0];
-        let last = s.bin_levels[seg - 1] + s.unary_cum[n_unary];
-        let gain = (last - first) / (n_codes - 1) as f64;
-        let mut inl_max = 0.0f64;
-        let mut dnl_max = 0.0f64;
-        let mut monotone = true;
-        let mut prev = 0.0f64;
-        let mut k = 0u64;
-        let mut kf = 0.0f64;
-        for t in 0..=n_unary {
-            let cum = s.unary_cum[t];
-            for r in 0..seg {
-                let level = s.bin_levels[r] + cum;
-                let inl = level - (first + gain * kf);
-                inl_max = inl_max.max(inl.abs());
-                if k != 0 {
-                    let dnl = level - prev - 1.0;
-                    dnl_max = dnl_max.max(dnl.abs());
-                    monotone &= level >= prev;
-                }
-                prev = level;
-                k += 1;
-                kf += 1.0;
-            }
-        }
-        self.codes_scanned += n_codes;
-        obs::count(obs::Counter::YieldCodesScanned, n_codes);
-        FusedMetrics {
-            inl_max,
-            dnl_max,
-            monotone,
-        }
+    /// Draws one trial and returns its pass/fail flags in
+    /// `[inl, dnl, monotonicity]` order: [`Self::trial`]`.flags(..)`.
+    pub fn trial_flags<R: Rng + ?Sized>(&mut self, mode: YieldMode, rng: &mut R) -> [bool; 3] {
+        let limits = self.limits;
+        self.trial(mode, rng).flags(&limits)
     }
 
-    /// The screened classifier: rebuild the segmented tables, then decide
-    /// all three pass/fail flags from `O(2^b + n_unary)` screened
-    /// quantities instead of walking all `2^n` codes. Each screened value
-    /// sits within a rigorous rounding band of its exact fused-pass
-    /// float; a metric whose limit falls inside the band is resolved by
-    /// the exact pass, so decisions are bit-identical to
-    /// [`Self::eval_batched`] (and hence to the scalar reference chain).
-    fn classify_batched(&mut self) -> [bool; 3] {
-        self.trials_run += 1;
-        obs::incr(obs::Counter::YieldTrials);
-        let dac = self.dac;
-        let n_bin = dac.spec().binary_bits as usize;
-        let seg = 1usize << n_bin;
-        let n_unary = dac.n_unary();
-        let weights = dac.weights();
-        let s = &mut self.scratch;
-
-        // Segmented tables with `rel = scale ⊙ z` inlined per cell. The
-        // expression trees match `eval_batched` (`rel[i]` there is a pure
-        // temporary), so the tables hold bitwise the same floats.
-        for (r, slot) in s.bin_levels.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for i in 0..n_bin {
-                if (r >> i) & 1 == 1 {
-                    acc += weights[i] as f64 * (1.0 + self.scale[i] * s.zs[i]);
-                }
-            }
-            *slot = acc;
-        }
-        s.unary_cum[0] = 0.0;
-        let mut acc = 0.0;
-        for (rank, (&cell, &w)) in self.unary_cells.iter().zip(&self.unary_w).enumerate() {
-            acc += w * (1.0 + self.scale[cell] * s.zs[cell]);
-            s.unary_cum[rank + 1] = acc;
-        }
-
-        let n_codes = dac.max_code() + 1;
-        let first = s.bin_levels[0] + s.unary_cum[0];
-        let last = s.bin_levels[seg - 1] + s.unary_cum[n_unary];
-        let gain = (last - first) / (n_codes - 1) as f64;
-
-        // Rounding slack: every screened quantity below differs from its
-        // exact fused-pass float by at most ~20 ulps of the full-scale
-        // magnitude (both sides read the *same* table floats; the error
-        // comes only from re-associating a handful of adds/multiplies).
-        // 64 ulps leaves a 3x safety factor.
-        let mag = 1.0f64
-            .max(first.abs())
-            .max(last.abs())
-            .max((gain * (n_codes - 1) as f64).abs());
-        let eps = 64.0 * f64::EPSILON * mag;
-
-        // INL screen: with code k = t·2^b + r, the endpoint-fit INL is
-        // (in real arithmetic) A_r + B_t, so max_k |INL| is reached at
-        // one of the two A extremes of every block.
-        let mut a_min = f64::INFINITY;
-        let mut a_max = f64::NEG_INFINITY;
-        for (r, &bl) in s.bin_levels.iter().enumerate() {
-            let a = bl - gain * r as f64;
-            a_min = a_min.min(a);
-            a_max = a_max.max(a);
-        }
-        // |A + b| is convex in b, so the worst code lies at a B extreme.
-        // Two reduction lanes keep the min/max latency chains off the
-        // critical path; max-folding is order-independent here.
-        let mut b_lo = [f64::INFINITY; 2];
-        let mut b_hi = [f64::NEG_INFINITY; 2];
-        let mut t = 0usize;
-        while t + 2 <= n_unary + 1 {
-            let b0 = (s.unary_cum[t] - gain * (t * seg) as f64) - first;
-            let b1 = (s.unary_cum[t + 1] - gain * ((t + 1) * seg) as f64) - first;
-            b_lo[0] = b_lo[0].min(b0);
-            b_hi[0] = b_hi[0].max(b0);
-            b_lo[1] = b_lo[1].min(b1);
-            b_hi[1] = b_hi[1].max(b1);
-            t += 2;
-        }
-        if t <= n_unary {
-            let b = (s.unary_cum[t] - gain * (t * seg) as f64) - first;
-            b_lo[0] = b_lo[0].min(b);
-            b_hi[0] = b_hi[0].max(b);
-        }
-        let b_min = b_lo[0].min(b_lo[1]);
-        let b_max = b_hi[0].max(b_hi[1]);
-        let inl_screen = (a_max + b_max)
-            .abs()
-            .max((a_max + b_min).abs())
-            .max((a_min + b_max).abs())
-            .max((a_min + b_min).abs());
-
-        // In-block DNL / monotonicity: within a unary block every step is
-        // a binary delta, identical across blocks up to rounding.
-        let mut block_dnl = 0.0f64;
-        let mut block_min_diff = f64::INFINITY;
-        for r in 1..seg {
-            let diff = s.bin_levels[r] - s.bin_levels[r - 1];
-            block_dnl = block_dnl.max((diff - 1.0).abs());
-            block_min_diff = block_min_diff.min(diff);
-        }
-
-        // Block-boundary codes (residue wraps 2^b−1 → 0): only n_unary of
-        // them, evaluated with the exact fused-pass expressions, again in
-        // two reduction lanes.
-        let bl_first = s.bin_levels[0];
-        let bl_last = s.bin_levels[seg - 1];
-        let mut bd = [0.0f64; 2];
-        let mut boundary_monotone = true;
-        let mut t = 1usize;
-        while t + 1 <= n_unary {
-            let prev0 = bl_last + s.unary_cum[t - 1];
-            let level0 = bl_first + s.unary_cum[t];
-            let dnl0 = level0 - prev0 - 1.0;
-            bd[0] = bd[0].max(dnl0.abs());
-            boundary_monotone &= level0 >= prev0;
-            let prev1 = bl_last + s.unary_cum[t];
-            let level1 = bl_first + s.unary_cum[t + 1];
-            let dnl1 = level1 - prev1 - 1.0;
-            bd[1] = bd[1].max(dnl1.abs());
-            boundary_monotone &= level1 >= prev1;
-            t += 2;
-        }
-        if t <= n_unary {
-            let prev = bl_last + s.unary_cum[t - 1];
-            let level = bl_first + s.unary_cum[t];
-            let dnl = level - prev - 1.0;
-            bd[0] = bd[0].max(dnl.abs());
-            boundary_monotone &= level >= prev;
-        }
-        let boundary_dnl = bd[0].max(bd[1]);
-        self.codes_scanned += (seg + n_unary + 1) as u64;
-        obs::count(obs::Counter::YieldCodesScanned, (seg + n_unary + 1) as u64);
-
-        let inl_pass = if inl_screen + eps < self.limits.inl {
-            Some(true)
-        } else if inl_screen - eps >= self.limits.inl {
-            Some(false)
-        } else {
-            None
-        };
-        let dnl_lo = boundary_dnl.max(block_dnl - eps);
-        let dnl_hi = boundary_dnl.max(block_dnl + eps);
-        let dnl_pass = if dnl_hi < self.limits.dnl {
-            Some(true)
-        } else if dnl_lo >= self.limits.dnl {
-            Some(false)
-        } else {
-            None
-        };
-        let mono = if !boundary_monotone || block_min_diff < -eps {
-            Some(false)
-        } else if block_min_diff > eps {
-            Some(true)
-        } else {
-            None
-        };
-
-        if let (Some(i), Some(d), Some(m)) = (inl_pass, dnl_pass, mono) {
-            obs::incr(obs::Counter::YieldScreened);
-            return [i, d, m];
-        }
-        // A metric grazed its limit's rounding band: resolve the trial
-        // with the exact fused walk so the decision stays bit-identical.
-        self.fallbacks += 1;
-        obs::incr(obs::Counter::YieldFallbacks);
-        let m = self.eval_batched();
-        m.flags(&self.limits)
-    }
-
-    /// The scalar reference chain: allocate the error vector, build the
-    /// full transfer function, then take three separate metric passes.
-    fn eval_reference(&self) -> FusedMetrics {
+    /// The scalar reference chain on the already-drawn trial vector:
+    /// allocate the error vector, build the full transfer function, then
+    /// take three separate metric passes. Adds the full curve to the
+    /// work counters.
+    fn eval_reference(&mut self) -> FusedMetrics {
         let rel: Vec<f64> = self
             .scale
             .iter()
@@ -646,6 +335,9 @@ impl<'a> YieldEngine<'a> {
             .collect();
         let errors = CellErrors::from_rel(self.dac, rel);
         let tf = TransferFunction::compute_fast(self.dac, &errors);
+        let n_codes = self.dac.max_code() + 1;
+        self.codes_scanned += n_codes;
+        obs::count(obs::Counter::YieldCodesScanned, n_codes);
         FusedMetrics {
             inl_max: tf.inl_max_abs(),
             dnl_max: tf.dnl_max_abs(),
@@ -653,8 +345,8 @@ impl<'a> YieldEngine<'a> {
         }
     }
 
-    /// Runs `trials` trials and pools all three yields (common random
-    /// numbers across metrics).
+    /// Runs `trials` trials through the chosen scalar path and pools all
+    /// three yields (common random numbers across metrics).
     ///
     /// # Errors
     ///
@@ -676,57 +368,6 @@ impl<'a> YieldEngine<'a> {
             }
         }
         FusedYields::from_counts(counts, trials)
-    }
-
-    /// Runs `trials` batched trials whose draws come from a
-    /// [`VarianceReduction`] scheme (antithetic pairing halves the draw
-    /// cost and cuts estimator variance; stratified blocks cover the
-    /// mismatch space evenly). `Plain` reproduces [`Self::run`] with
-    /// [`YieldMode::Batched`] bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`MetricError::Stats`] with `NoTrials` when `trials == 0`.
-    pub fn run_reduced<R: Rng + ?Sized>(
-        &mut self,
-        scheme: VarianceReduction,
-        trials: u64,
-        rng: &mut R,
-    ) -> Result<FusedYields, MetricError> {
-        if trials == 0 {
-            return Err(MetricError::Stats(StatsError::NoTrials));
-        }
-        let mut plan = NormalDrawPlan::new(self.scratch.zs.len(), scheme)?;
-        let mut counts = [0u64; 3];
-        for _ in 0..trials {
-            plan.fill_next(rng, &mut self.scratch.zs);
-            let flags = self.classify_batched();
-            for (count, &flag) in counts.iter_mut().zip(&flags) {
-                *count += u64::from(flag);
-            }
-        }
-        FusedYields::from_counts(counts, trials)
-    }
-
-    /// Runs a Wilson-interval sequential test of one metric's yield
-    /// against `test`'s target: trials stop deterministically as soon as
-    /// the interval clears (or excludes) the target, with the test's
-    /// trial budget as fallback.
-    ///
-    /// # Errors
-    ///
-    /// [`MetricError::Stats`] if the underlying counts are ill-posed
-    /// (cannot happen with a well-formed [`YieldTest`]).
-    pub fn run_sequential<R: Rng + ?Sized>(
-        &mut self,
-        mode: YieldMode,
-        metric: YieldMetric,
-        test: &YieldTest,
-        rng: &mut R,
-    ) -> Result<SequentialYield, MetricError> {
-        Ok(test.run_sequential(rng, |rng, _trial| {
-            self.trial_flags(mode, rng)[metric.index()]
-        })?)
     }
 
     /// Draws a lane group: `active` trials consumed from `rng` in trial
@@ -758,13 +399,13 @@ impl<'a> YieldEngine<'a> {
 
     /// The lane classifier: one pass of the screened classifier over `W`
     /// trials at once, every intermediate a `[f64; W]` chunk updated
-    /// elementwise. Per lane, every float matches
-    /// [`Self::classify_batched`] bit for bit — the binary table is
-    /// built by recursive doubling (`bin[r | 2^i] = bin[r] + termᵢ` for
-    /// `r < 2^i`), which reproduces the scalar ascending-set-bit
-    /// accumulation's add order exactly while cutting the table build
-    /// from `b·2^b` branchy steps to `2^b` adds — so decisions, fallback
-    /// triggering and all work counters are lane-width-invariant.
+    /// elementwise, so each lane's floats do not depend on `W` and
+    /// decisions, fallback triggering and all work counters are
+    /// lane-width-invariant. The binary table is built by recursive
+    /// doubling (`bin[r | 2^i] = bin[r] + termᵢ` for `r < 2^i`), which
+    /// keeps [`TransferFunction::compute_fast`]'s ascending-set-bit add
+    /// order while cutting the build from `b·2^b` branchy steps to `2^b`
+    /// adds.
     fn classify_lane_group<const W: usize>(
         &mut self,
         ls: &mut LaneScratch<W>,
@@ -776,9 +417,8 @@ impl<'a> YieldEngine<'a> {
         let n_unary = dac.n_unary();
         let weights = dac.weights();
 
-        // Per-cell binary terms, hoisted out of the residue loop (the
-        // scalar path recomputes `wᵢ·(1 + scaleᵢ·zᵢ)` per residue; the
-        // float is identical either way).
+        // Per-cell binary terms `wᵢ·(1 + scaleᵢ·zᵢ)`, hoisted out of the
+        // residue loop.
         for (i, term) in ls.terms.iter_mut().enumerate() {
             let w = weights[i] as f64;
             let sc = self.scale[i];
@@ -789,8 +429,7 @@ impl<'a> YieldEngine<'a> {
         }
 
         // Binary table by recursive doubling. `bin[r]` accumulates its
-        // set-bit terms in ascending bit order — the same left-to-right
-        // add sequence as the scalar loop, hence bitwise identical.
+        // set-bit terms in ascending bit order.
         ls.bin_levels[0] = [0.0; W];
         for (i, term) in ls.terms.iter().enumerate() {
             let half = 1usize << i;
@@ -814,6 +453,11 @@ impl<'a> YieldEngine<'a> {
             ls.unary_cum[rank + 1] = acc;
         }
 
+        // Rounding slack: every screened quantity below differs from its
+        // exact transfer-curve float by at most ~20 ulps of the
+        // full-scale magnitude (both sides read the same table floats;
+        // the error comes only from re-associating a handful of
+        // adds/multiplies). 64 ulps leaves a 3x safety factor.
         let n_codes = dac.max_code() + 1;
         let denom = (n_codes - 1) as f64;
         let mut first = [0.0; W];
@@ -831,7 +475,10 @@ impl<'a> YieldEngine<'a> {
             eps[l] = 64.0 * f64::EPSILON * mag;
         }
 
-        // INL screen: A extremes over the residues...
+        // INL screen: with code k = t·2^b + r, the endpoint-fit INL is
+        // (in real arithmetic) A_r + B_t, so max_k |INL| is reached at
+        // one of the two A extremes of every block. A extremes over the
+        // residues...
         let mut a_min = [f64::INFINITY; W];
         let mut a_max = [f64::NEG_INFINITY; W];
         for (r, bl) in ls.bin_levels.iter().enumerate() {
@@ -842,9 +489,9 @@ impl<'a> YieldEngine<'a> {
                 a_max[l] = a_max[l].max(a);
             }
         }
-        // ...and B extremes over the blocks, folded through the same two
-        // reduction lanes as the scalar screen so the floats match
-        // bitwise per lane.
+        // ...and B extremes over the blocks. |A + b| is convex in b, so
+        // the worst code lies at a B extreme. Two reduction lanes keep
+        // the min/max latency chains off the critical path.
         let mut b_lo = [[f64::INFINITY; W]; 2];
         let mut b_hi = [[f64::NEG_INFINITY; W]; 2];
         let mut t = 0usize;
@@ -883,7 +530,8 @@ impl<'a> YieldEngine<'a> {
                 .max((a_min[l] + b_min).abs());
         }
 
-        // In-block DNL / monotonicity.
+        // In-block DNL / monotonicity: within a unary block every step is
+        // a binary delta, identical across blocks up to rounding.
         let mut block_dnl = [0.0f64; W];
         let mut block_min_diff = [f64::INFINITY; W];
         for r in 1..seg {
@@ -896,8 +544,9 @@ impl<'a> YieldEngine<'a> {
             }
         }
 
-        // Block-boundary codes, again through the scalar screen's two
-        // reduction lanes.
+        // Block-boundary codes (residue wraps 2^b−1 → 0): only n_unary of
+        // them, evaluated with the exact transfer-curve expressions, again
+        // in two reduction lanes.
         let bl_first = ls.bin_levels[0];
         let bl_last = ls.bin_levels[seg - 1];
         let mut bd = [[0.0f64; W]; 2];
@@ -933,9 +582,9 @@ impl<'a> YieldEngine<'a> {
             }
         }
 
-        // Verdicts and counters per active lane, in lane order — the
-        // same per-trial accounting as the scalar classifier, so every
-        // work counter is independent of `W` and of how trials group.
+        // Verdicts and counters per active lane, in lane order: one
+        // block scan per trial, so every work counter is independent of
+        // `W` and of how trials group.
         let scan = (seg + n_unary + 1) as u64;
         let mut out = [[false; 3]; W];
         for l in 0..active {
@@ -972,15 +621,16 @@ impl<'a> YieldEngine<'a> {
                 out[l] = [i, d, m];
                 continue;
             }
-            // This lane grazed a limit's rounding band: fall back to the
-            // exact fused walk on the lane's own draw.
+            // This lane grazed a limit's rounding band: resolve it with
+            // the Reference chain on the lane's own draw, so the decision
+            // is the exact strict `<` on the exact metric.
             self.fallbacks += 1;
             obs::incr(obs::Counter::YieldFallbacks);
             for (slot, row) in self.scratch.zs.iter_mut().zip(&ls.zs) {
                 *slot = row[l];
             }
-            let m = self.eval_batched();
-            out[l] = m.flags(&self.limits);
+            let limits = self.limits;
+            out[l] = self.eval_reference().flags(&limits);
         }
         out
     }
@@ -988,8 +638,8 @@ impl<'a> YieldEngine<'a> {
     /// Runs `trials` trials through the lane classifier in groups of
     /// `W` (the final group masks its unused lanes) and pools all three
     /// yields. Decisions — and therefore counts — are bit-identical to
-    /// [`Self::run`] in either [`YieldMode`] for the same RNG stream, at
-    /// any `W ≥ 1`.
+    /// [`Self::run`] with [`YieldMode::Reference`] for the same RNG
+    /// stream, at any `W ≥ 1`.
     ///
     /// # Errors
     ///
@@ -1021,8 +671,8 @@ impl<'a> YieldEngine<'a> {
 
     /// Per-trial pass/fail flags of `trials` lane-classified trials, in
     /// trial order — the differential-test surface: each entry must
-    /// equal the corresponding [`Self::trial_flags`] result (either
-    /// mode) on the same stream.
+    /// equal the corresponding [`Self::trial_flags`] result on the same
+    /// stream.
     pub fn flags_lanes<const W: usize, R: Rng + ?Sized>(
         &mut self,
         trials: u64,
@@ -1048,52 +698,6 @@ fn draw_scale(dac: &SegmentedDac, sigma_unit: f64) -> Vec<f64> {
     dac.weights()
         .iter()
         .map(|&w| sigma_unit / (w as f64).sqrt())
-        .collect()
-}
-
-/// Fused yields at several design points (unit-source sigmas) under
-/// common random numbers: every trial draws **one** standard-normal
-/// vector and evaluates it at every sigma, so yield *differences* across
-/// the sweep are low-variance.
-///
-/// # Errors
-///
-/// [`MetricError::InvalidSigma`] for a bad sigma, [`MetricError::Stats`]
-/// with `NoTrials`/`EmptyData` for an empty run.
-pub fn fused_yields_crn<R: Rng + ?Sized>(
-    dac: &SegmentedDac,
-    sigmas: &[f64],
-    limits: YieldLimits,
-    trials: u64,
-    rng: &mut R,
-) -> Result<Vec<FusedYields>, MetricError> {
-    if sigmas.is_empty() {
-        return Err(MetricError::Stats(StatsError::EmptyData));
-    }
-    if trials == 0 {
-        return Err(MetricError::Stats(StatsError::NoTrials));
-    }
-    for &sigma in sigmas {
-        if !(sigma.is_finite() && sigma >= 0.0) {
-            return Err(MetricError::InvalidSigma { value: sigma });
-        }
-    }
-    let scales: Vec<Vec<f64>> = sigmas.iter().map(|&s| draw_scale(dac, s)).collect();
-    let mut engine = YieldEngine::build(dac, sigmas[0], limits);
-    let mut counts = vec![[0u64; 3]; sigmas.len()];
-    for _ in 0..trials {
-        engine.draw(rng);
-        for (scale, point_counts) in scales.iter().zip(counts.iter_mut()) {
-            engine.scale.clone_from(scale);
-            let flags = engine.classify_batched();
-            for (count, &flag) in point_counts.iter_mut().zip(&flags) {
-                *count += u64::from(flag);
-            }
-        }
-    }
-    counts
-        .into_iter()
-        .map(|c| FusedYields::from_counts(c, trials))
         .collect()
 }
 
@@ -1136,61 +740,14 @@ impl From<RuntimeError> for FusedYieldError {
     }
 }
 
-/// Runs the fused yield engine under the supervised pool: trials are
-/// chunked per [`McPlan`], every chunk builds its own engine and draws
-/// from its own `stream_rng(seed, chunk)` stream, and the pooled counts
-/// are bit-identical for any `--jobs` value, across kill + resume, and
-/// between [`YieldMode::Batched`] and [`YieldMode::Reference`] for the
-/// same seed.
-///
-/// # Errors
-///
-/// [`FusedYieldError::Metric`] for invalid engine inputs,
-/// [`FusedYieldError::Runtime`] for pool/journal failures.
-pub fn fused_yields_supervised(
-    dac: &SegmentedDac,
-    sigma_unit: f64,
-    limits: YieldLimits,
-    mode: YieldMode,
-    plan: &McPlan,
-    policy: &ExecPolicy,
-) -> Result<Supervised<FusedYields>, FusedYieldError> {
-    // Validate once up front so per-chunk engine builds are infallible.
-    YieldEngine::new(dac, sigma_unit, limits)?;
-    let spec = dac.spec();
-    let params = format!(
-        "fused;sigma={sigma_unit};inl={};dnl={};bits={};bin={};cells={}",
-        limits.inl,
-        limits.dnl,
-        spec.n_bits,
-        spec.binary_bits,
-        dac.n_cells(),
-    );
-    let out = yield_vector_supervised(
-        policy,
-        plan,
-        &params,
-        3,
-        || YieldEngine::build(dac, sigma_unit, limits),
-        |engine, rng, _trial, flags| {
-            flags.copy_from_slice(&engine.trial_flags(mode, rng));
-        },
-    )?;
-    // `yield_vector_supervised` returns exactly `metrics = 3` estimates.
-    Ok(out.map(|v| FusedYields {
-        inl: v[0],
-        dnl: v[1],
-        monotonicity: v[2],
-    }))
-}
-
 /// Runs the lane classifier under the supervised pool: every chunk
 /// builds its own engine plus lane scratch, consumes its
 /// `stream_rng(seed, chunk)` stream in trial order through `W`-wide
 /// groups (the chunk's remainder trials form one masked partial group),
-/// and the pooled counts are bit-identical to [`fused_yields_supervised`]
-/// for the same plan — for any `--jobs` value and any lane width,
-/// including resuming from each other's journals.
+/// and the pooled counts are bit-identical to running
+/// [`YieldMode::Reference`] over the same chunk streams — for any
+/// `--jobs` value and any lane width, including resuming from each
+/// other's journals.
 ///
 /// # Errors
 ///
@@ -1206,8 +763,8 @@ pub fn fused_yields_supervised_lanes<const W: usize>(
     // Validate once up front so per-chunk engine builds are infallible.
     YieldEngine::new(dac, sigma_unit, limits)?;
     let spec = dac.spec();
-    // The same params digest as `fused_yields_supervised`: decisions are
-    // bit-identical, so the journals are interchangeable by design.
+    // The journal identity digests everything that decides a trial but
+    // not the lane width, so journals resume across widths.
     let params = format!(
         "fused;sigma={sigma_unit};inl={};dnl={};bits={};bin={};cells={}",
         limits.inl,
@@ -1216,7 +773,7 @@ pub fn fused_yields_supervised_lanes<const W: usize>(
         spec.binary_bits,
         dac.n_cells(),
     );
-    let out = ctsdac_runtime::yield_vector_supervised_chunked(
+    let out = yield_vector_supervised_chunked(
         policy,
         plan,
         &params,
@@ -1242,6 +799,7 @@ pub fn fused_yields_supervised_lanes<const W: usize>(
             }
         },
     )?;
+    // The driver returns exactly `metrics = 3` estimates.
     Ok(out.map(|v| FusedYields {
         inl: v[0],
         dnl: v[1],
@@ -1262,42 +820,37 @@ mod tests {
         DacSpec::new(8, 4, 0.997, base.env, base.tech)
     }
 
-    #[test]
-    fn batched_metrics_match_reference_bitwise() {
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        let mut engine =
-            YieldEngine::new(&dac, spec.sigma_unit_spec() * 2.0, YieldLimits::half_lsb())
-                .expect("engine");
-        let mut rng_a = seeded_rng(77);
-        let mut rng_b = seeded_rng(77);
+    /// The Reference path's metrics are exactly those of the public
+    /// chain `CellErrors::random` → `compute_fast` → metric passes on
+    /// the same stream.
+    fn assert_reference_matches_cell_errors_chain(dac: &SegmentedDac, sigma: f64, seed: u64) {
+        let mut engine = YieldEngine::new(dac, sigma, YieldLimits::half_lsb()).expect("engine");
+        let mut rng_a = seeded_rng(seed);
+        let mut rng_b = seeded_rng(seed);
         for _ in 0..50 {
-            let fast = engine.trial(YieldMode::Batched, &mut rng_a);
-            let slow = engine.trial(YieldMode::Reference, &mut rng_b);
-            assert_eq!(fast.inl_max.to_bits(), slow.inl_max.to_bits());
-            assert_eq!(fast.dnl_max.to_bits(), slow.dnl_max.to_bits());
-            assert_eq!(fast.monotone, slow.monotone);
+            let got = engine.trial(YieldMode::Reference, &mut rng_a);
+            let errors = CellErrors::random(dac, sigma, &mut rng_b);
+            let tf = TransferFunction::compute_fast(dac, &errors);
+            assert_eq!(got.inl_max.to_bits(), tf.inl_max_abs().to_bits());
+            assert_eq!(got.dnl_max.to_bits(), tf.dnl_max_abs().to_bits());
+            assert_eq!(got.monotone, tf.is_monotone());
         }
     }
 
     #[test]
-    fn batched_metrics_match_reference_bitwise_with_custom_order() {
+    fn reference_metrics_match_the_cell_errors_chain_bitwise() {
+        let spec = small_spec();
+        let dac = SegmentedDac::new(&spec);
+        assert_reference_matches_cell_errors_chain(&dac, spec.sigma_unit_spec() * 2.0, 77);
+    }
+
+    #[test]
+    fn reference_metrics_match_the_cell_errors_chain_bitwise_with_custom_order() {
         let spec = small_spec();
         let n = spec.unary_source_count();
         let order: Vec<usize> = (0..n).rev().collect();
         let dac = SegmentedDac::new(&spec).with_unary_order(order);
-        let mut engine =
-            YieldEngine::new(&dac, spec.sigma_unit_spec() * 3.0, YieldLimits::half_lsb())
-                .expect("engine");
-        let mut rng_a = seeded_rng(78);
-        let mut rng_b = seeded_rng(78);
-        for _ in 0..20 {
-            let fast = engine.trial(YieldMode::Batched, &mut rng_a);
-            let slow = engine.trial(YieldMode::Reference, &mut rng_b);
-            assert_eq!(fast.inl_max.to_bits(), slow.inl_max.to_bits());
-            assert_eq!(fast.dnl_max.to_bits(), slow.dnl_max.to_bits());
-            assert_eq!(fast.monotone, slow.monotone);
-        }
+        assert_reference_matches_cell_errors_chain(&dac, spec.sigma_unit_spec() * 3.0, 78);
     }
 
     #[test]
@@ -1331,9 +884,7 @@ mod tests {
         let sigma = spec.sigma_unit_spec() * 2.0;
         let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng_a = seeded_rng(99);
-        let fused = engine
-            .run(YieldMode::Batched, 300, &mut rng_a)
-            .expect("fused");
+        let fused = engine.run_lanes::<8, _>(300, &mut rng_a).expect("fused");
         let mut rng_b = seeded_rng(99);
         let legacy = inl_yield_mc(&dac, sigma, 0.5, 300, &mut rng_b).expect("legacy");
         assert_eq!(fused.inl, legacy);
@@ -1349,98 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_reduced_run_reproduces_batched_run() {
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        let sigma = spec.sigma_unit_spec() * 2.0;
-        let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng_a = seeded_rng(13);
-        let plain = engine
-            .run_reduced(VarianceReduction::Plain, 200, &mut rng_a)
-            .expect("plain");
-        let mut rng_b = seeded_rng(13);
-        let batched = engine
-            .run(YieldMode::Batched, 200, &mut rng_b)
-            .expect("batched");
-        assert_eq!(plain, batched);
-    }
-
-    #[test]
-    fn antithetic_and_stratified_runs_stay_statistically_sane() {
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        let sigma = spec.sigma_unit_spec();
-        let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        for scheme in [
-            VarianceReduction::Antithetic,
-            VarianceReduction::Stratified { strata: 64 },
-        ] {
-            let mut rng = seeded_rng(21);
-            let yields = engine.run_reduced(scheme, 400, &mut rng).expect("reduced");
-            assert!(
-                yields.inl.estimate() > 0.9,
-                "{scheme:?}: {}",
-                yields.inl.estimate()
-            );
-            assert!(yields.monotonicity.estimate() >= yields.dnl.estimate());
-        }
-    }
-
-    #[test]
-    fn sequential_run_decides_fast_at_spec_sigma() {
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        // Spec sigma delivers ~99.9 % INL yield at 8 bits; testing
-        // against a 90 % target must pass early.
-        let mut engine = YieldEngine::new(&dac, spec.sigma_unit_spec(), YieldLimits::half_lsb())
-            .expect("engine");
-        let test = YieldTest::new(0.90, 2.576, 20_000, 50).expect("test");
-        let mut rng = seeded_rng(3);
-        let out = engine
-            .run_sequential(YieldMode::Batched, YieldMetric::Inl, &test, &mut rng)
-            .expect("sequential");
-        assert_eq!(out.decision, ctsdac_stats::YieldDecision::Pass);
-        assert!(out.estimate.trials() < 20_000, "stopped early");
-    }
-
-    #[test]
-    fn crn_sweep_orders_yields_by_sigma() {
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        let s = spec.sigma_unit_spec();
-        let mut rng = seeded_rng(41);
-        let sweep = fused_yields_crn(
-            &dac,
-            &[s, 2.0 * s, 4.0 * s],
-            YieldLimits::half_lsb(),
-            300,
-            &mut rng,
-        )
-        .expect("sweep");
-        assert_eq!(sweep.len(), 3);
-        // Common random numbers: yields are monotone in sigma trial by
-        // trial (a heavier draw can only fail more), not just on average.
-        assert!(sweep[0].inl.passes() >= sweep[1].inl.passes());
-        assert!(sweep[1].inl.passes() >= sweep[2].inl.passes());
-    }
-
-    #[test]
-    fn crn_sweep_first_point_matches_single_run() {
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        let sigma = spec.sigma_unit_spec() * 2.0;
-        let mut rng_a = seeded_rng(55);
-        let sweep = fused_yields_crn(&dac, &[sigma], YieldLimits::half_lsb(), 250, &mut rng_a)
-            .expect("sweep");
-        let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng_b = seeded_rng(55);
-        let single = engine
-            .run(YieldMode::Batched, 250, &mut rng_b)
-            .expect("single");
-        assert_eq!(sweep[0], single);
-    }
-
-    #[test]
     fn work_counter_tracks_screened_scans_and_exact_walks() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
@@ -1449,12 +908,12 @@ mod tests {
         // At this sigma no metric grazes its limit, so every trial stays
         // on the screened block scan.
         let scan = (1u64 << spec.binary_bits) + dac.n_unary() as u64 + 1;
-        engine.run(YieldMode::Batched, 10, &mut rng).expect("run");
+        engine.run_lanes::<8, _>(10, &mut rng).expect("run");
         assert_eq!(engine.trials_run(), 10);
         assert_eq!(engine.fallbacks(), 0);
         assert_eq!(engine.codes_scanned(), 10 * scan);
-        // An explicit exact-metrics trial walks the whole curve.
-        engine.trial(YieldMode::Batched, &mut rng);
+        // An explicit Reference trial walks the whole curve.
+        engine.trial(YieldMode::Reference, &mut rng);
         assert_eq!(engine.codes_scanned(), 10 * scan + (dac.max_code() + 1));
     }
 
@@ -1469,12 +928,11 @@ mod tests {
             let mut engine =
                 YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
             let limits = *engine.limits();
-            let mut rng_a = seeded_rng(91);
-            let mut rng_b = seeded_rng(91);
-            for _ in 0..200 {
-                let screened = engine.trial_flags(YieldMode::Batched, &mut rng_a);
-                let exact = engine.trial(YieldMode::Reference, &mut rng_b);
-                assert_eq!(screened, exact.flags(&limits), "sigma mult {mult}");
+            let screened = engine.flags_lanes::<8, _>(200, &mut seeded_rng(91));
+            let mut rng = seeded_rng(91);
+            for (trial, flags) in screened.iter().enumerate() {
+                let exact = engine.trial(YieldMode::Reference, &mut rng);
+                assert_eq!(*flags, exact.flags(&limits), "sigma mult {mult}, trial {trial}");
             }
         }
     }
@@ -1486,120 +944,113 @@ mod tests {
         let sigma = spec.sigma_unit_spec() * 2.0;
         let mut probe = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(7);
-        let exact = probe.trial(YieldMode::Batched, &mut rng);
+        let exact = probe.trial(YieldMode::Reference, &mut rng);
         // A limit equal to the trial's exact INL lies inside the screen's
-        // rounding band by construction, forcing the exact fallback; the
-        // decision is still the exact strict `<` (a tie fails).
+        // rounding band by construction, forcing the Reference fallback;
+        // the decision is still the exact strict `<` (a tie fails).
         let limits = YieldLimits::new(exact.inl_max, 0.5).expect("limits");
         let mut engine = YieldEngine::new(&dac, sigma, limits).expect("engine");
         let mut rng = seeded_rng(7);
-        let flags = engine.trial_flags(YieldMode::Batched, &mut rng);
+        let flags = engine.flags_lanes::<1, _>(1, &mut rng);
         assert_eq!(engine.fallbacks(), 1);
-        assert!(!flags[0], "inl_max < inl_max must fail");
+        assert!(!flags[0][0], "inl_max < inl_max must fail");
+    }
+
+    /// The supervised oracle: [`YieldMode::Reference`] over the plan's
+    /// per-chunk `stream_rng(seed, chunk)` streams, chunk by chunk.
+    fn reference_over_chunks(dac: &SegmentedDac, sigma: f64, plan: &McPlan) -> FusedYields {
+        let mut counts = [0u64; 3];
+        for chunk in 0..plan.chunks() {
+            let mut engine =
+                YieldEngine::new(dac, sigma, YieldLimits::half_lsb()).expect("engine");
+            let mut rng = stream_rng(plan.seed, chunk);
+            for _ in 0..plan.chunk_len(chunk) {
+                let flags = engine.trial_flags(YieldMode::Reference, &mut rng);
+                for (count, &flag) in counts.iter_mut().zip(&flags) {
+                    *count += u64::from(flag);
+                }
+            }
+        }
+        FusedYields::from_counts(counts, plan.trials).expect("counts")
     }
 
     #[test]
-    fn supervised_fused_yields_are_jobs_invariant_and_mode_invariant() {
+    fn supervised_fused_yields_are_jobs_invariant_and_match_reference() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
         let plan = McPlan::new(7, 2_000, 250).expect("plan");
-        let baseline = fused_yields_supervised(
+        let baseline = fused_yields_supervised_lanes::<8>(
             &dac,
             sigma,
             YieldLimits::half_lsb(),
-            YieldMode::Batched,
             &plan,
             &ExecPolicy::sequential(),
         )
         .expect("baseline");
         for jobs in [2, 8] {
-            let out = fused_yields_supervised(
+            let out = fused_yields_supervised_lanes::<8>(
                 &dac,
                 sigma,
                 YieldLimits::half_lsb(),
-                YieldMode::Batched,
                 &plan,
                 &ExecPolicy::with_jobs(jobs),
             )
             .expect("parallel");
             assert_eq!(out.value, baseline.value, "jobs = {jobs}");
         }
-        let reference = fused_yields_supervised(
-            &dac,
-            sigma,
-            YieldLimits::half_lsb(),
-            YieldMode::Reference,
-            &plan,
-            &ExecPolicy::with_jobs(4),
-        )
-        .expect("reference");
-        assert_eq!(reference.value, baseline.value);
+        assert_eq!(baseline.value, reference_over_chunks(&dac, sigma, &plan));
     }
 
     #[test]
     fn supervised_chunk_streams_match_manual_chunking() {
         // The supervised counts are exactly what hand-rolled per-chunk
-        // engines over `stream_rng(seed, chunk)` produce.
+        // Reference engines over `stream_rng(seed, chunk)` produce.
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
         let plan = McPlan::new(19, 700, 128).expect("plan");
-        let out = fused_yields_supervised(
+        let out = fused_yields_supervised_lanes::<4>(
             &dac,
             sigma,
             YieldLimits::half_lsb(),
-            YieldMode::Batched,
             &plan,
             &ExecPolicy::sequential(),
         )
         .expect("supervised");
-        let mut passes = 0u64;
-        for chunk in 0..plan.chunks() {
-            let mut engine =
-                YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-            let mut rng = stream_rng(plan.seed, chunk);
-            for _ in 0..plan.chunk_len(chunk) {
-                let m = engine.trial(YieldMode::Batched, &mut rng);
-                passes += u64::from(m.flags(&YieldLimits::half_lsb())[0]);
-            }
-        }
-        assert_eq!(out.value.inl.passes(), passes);
+        assert_eq!(out.value, reference_over_chunks(&dac, sigma, &plan));
         assert_eq!(out.value.inl.trials(), 700);
     }
 
     #[test]
-    fn lane_run_matches_batched_run_at_every_width() {
+    fn lane_run_matches_reference_run_at_every_width() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
         let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(31);
-        let batched = engine
-            .run(YieldMode::Batched, 257, &mut rng)
-            .expect("batched");
-        let batched_counters = (engine.trials_run(), engine.codes_scanned(), engine.fallbacks());
+        let reference = engine
+            .run(YieldMode::Reference, 257, &mut rng)
+            .expect("reference");
+
+        let mut lanes1 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
+        let out1 = lanes1.run_lanes::<1, _>(257, &mut seeded_rng(31)).expect("lanes1");
+        assert_eq!(out1, reference);
 
         let mut lanes4 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng = seeded_rng(31);
-        let out4 = lanes4.run_lanes::<4, _>(257, &mut rng).expect("lanes4");
-        assert_eq!(out4, batched);
+        let out4 = lanes4.run_lanes::<4, _>(257, &mut seeded_rng(31)).expect("lanes4");
+        assert_eq!(out4, reference);
 
         let mut lanes8 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng = seeded_rng(31);
-        let out8 = lanes8.run_lanes::<8, _>(257, &mut rng).expect("lanes8");
-        assert_eq!(out8, batched);
+        let out8 = lanes8.run_lanes::<8, _>(257, &mut seeded_rng(31)).expect("lanes8");
+        assert_eq!(out8, reference);
 
         // Work counters are lane-width-invariant: identical trial,
-        // code-scan and fallback totals at W = 1, 4, 8 and scalar.
-        let mut lanes1 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng = seeded_rng(31);
-        lanes1.run_lanes::<1, _>(257, &mut rng).expect("lanes1");
-        for e in [&lanes1, &lanes4, &lanes8] {
-            assert_eq!(
-                (e.trials_run(), e.codes_scanned(), e.fallbacks()),
-                batched_counters
-            );
+        // code-scan and fallback totals at W = 1, 4 and 8.
+        let counters = (lanes1.trials_run(), lanes1.codes_scanned(), lanes1.fallbacks());
+        assert_eq!(counters.0, 257);
+        for e in [&lanes4, &lanes8] {
+            assert_eq!((e.trials_run(), e.codes_scanned(), e.fallbacks()), counters);
         }
     }
 
@@ -1624,51 +1075,55 @@ mod tests {
     }
 
     #[test]
-    fn lane_fallbacks_trigger_exactly_like_the_scalar_classifier() {
+    fn lane_fallbacks_trigger_at_grazing_limits_and_match_reference() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
         let mut probe = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(7);
-        let exact = probe.trial(YieldMode::Batched, &mut rng);
+        let exact = probe.trial(YieldMode::Reference, &mut rng);
         // A limit equal to a trial's exact INL sits inside the screen's
-        // rounding band; the lane kernel must take the same per-lane
-        // exact fallback the scalar classifier takes, and only for that
-        // lane.
+        // rounding band: the lane kernel must fall back for that lane,
+        // and every decision must equal the Reference chain's.
         let limits = YieldLimits::new(exact.inl_max, 0.5).expect("limits");
-        let mut lanes = YieldEngine::new(&dac, sigma, limits).expect("engine");
-        let mut rng = seeded_rng(7);
-        let flags = lanes.flags_lanes::<4, _>(4, &mut rng);
-        assert_eq!(lanes.fallbacks(), 1);
-        assert!(!flags[0][0], "inl_max < inl_max must fail");
-        let mut scalar = YieldEngine::new(&dac, sigma, limits).expect("engine");
-        let mut rng = seeded_rng(7);
-        for (trial, lane_flags) in flags.iter().enumerate() {
+        let trials = 4u64;
+        let scan = (1u64 << spec.binary_bits) + dac.n_unary() as u64 + 1;
+        let mut per_width = Vec::new();
+        for width_is_4 in [true, false] {
+            let mut lanes = YieldEngine::new(&dac, sigma, limits).expect("engine");
+            let mut rng = seeded_rng(7);
+            let flags = if width_is_4 {
+                lanes.flags_lanes::<4, _>(trials, &mut rng)
+            } else {
+                lanes.flags_lanes::<8, _>(trials, &mut rng)
+            };
+            assert!(lanes.fallbacks() > 0, "grazing INL limit never fell back");
+            assert!(!flags[0][0], "inl_max < inl_max must fail");
+            let mut reference = YieldEngine::new(&dac, sigma, limits).expect("engine");
+            let mut rng = seeded_rng(7);
+            for (trial, lane_flags) in flags.iter().enumerate() {
+                assert_eq!(
+                    *lane_flags,
+                    reference.trial_flags(YieldMode::Reference, &mut rng),
+                    "trial {trial}"
+                );
+            }
+            // One block scan per trial plus one full curve per fallback.
             assert_eq!(
-                *lane_flags,
-                scalar.trial_flags(YieldMode::Batched, &mut rng),
-                "trial {trial}"
+                lanes.codes_scanned(),
+                trials * scan + lanes.fallbacks() * (dac.max_code() + 1)
             );
+            per_width.push((lanes.trials_run(), lanes.codes_scanned(), lanes.fallbacks()));
         }
-        assert_eq!(scalar.fallbacks(), 1);
-        assert_eq!(scalar.codes_scanned(), lanes.codes_scanned());
+        assert_eq!(per_width[0], per_width[1], "counters differ between W = 4 and 8");
     }
 
     #[test]
-    fn supervised_lane_yields_match_the_per_trial_driver() {
+    fn supervised_lane_yields_match_across_widths_and_jobs() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
         let plan = McPlan::new(7, 1_000, 137).expect("plan");
-        let baseline = fused_yields_supervised(
-            &dac,
-            sigma,
-            YieldLimits::half_lsb(),
-            YieldMode::Batched,
-            &plan,
-            &ExecPolicy::sequential(),
-        )
-        .expect("baseline");
         let lanes4 = fused_yields_supervised_lanes::<4>(
             &dac,
             sigma,
@@ -1677,7 +1132,7 @@ mod tests {
             &ExecPolicy::sequential(),
         )
         .expect("lanes4");
-        assert_eq!(lanes4.value, baseline.value);
+        assert_eq!(lanes4.value, reference_over_chunks(&dac, sigma, &plan));
         for jobs in [2, 8] {
             let lanes8 = fused_yields_supervised_lanes::<8>(
                 &dac,
@@ -1687,7 +1142,7 @@ mod tests {
                 &ExecPolicy::with_jobs(jobs),
             )
             .expect("lanes8");
-            assert_eq!(lanes8.value, baseline.value, "jobs = {jobs}");
+            assert_eq!(lanes8.value, lanes4.value, "jobs = {jobs}");
         }
     }
 
@@ -1708,10 +1163,18 @@ mod tests {
         );
         let mut engine = YieldEngine::new(&dac, 0.01, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(1);
-        assert!(engine.run(YieldMode::Batched, 0, &mut rng).is_err());
-        assert!(fused_yields_crn(&dac, &[], YieldLimits::half_lsb(), 10, &mut rng).is_err());
-        assert!(
-            fused_yields_crn(&dac, &[f64::NAN], YieldLimits::half_lsb(), 10, &mut rng).is_err()
-        );
+        assert!(engine.run(YieldMode::Reference, 0, &mut rng).is_err());
+        assert!(engine.run_lanes::<8, _>(0, &mut rng).is_err());
+        let plan = McPlan::new(1, 10, 5).expect("plan");
+        assert!(matches!(
+            fused_yields_supervised_lanes::<8>(
+                &dac,
+                f64::NAN,
+                YieldLimits::half_lsb(),
+                &plan,
+                &ExecPolicy::sequential()
+            ),
+            Err(FusedYieldError::Metric(MetricError::InvalidSigma { .. }))
+        ));
     }
 }

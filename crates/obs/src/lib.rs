@@ -138,7 +138,7 @@ pub enum Counter {
     YieldTrials,
     /// Yield-engine trials decided by the certified screen alone.
     YieldScreened,
-    /// Yield-engine trials that fell back to the exact fused pass.
+    /// Yield-engine trials that fell back to the Reference chain.
     YieldFallbacks,
     /// Yield-engine code-equivalents scanned (work proxy).
     YieldCodesScanned,

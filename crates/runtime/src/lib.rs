@@ -67,10 +67,7 @@ pub use exec::{run_journaled, ExecPolicy, Supervised};
 pub use journal::{
     decode_f64, encode_f64, truncate_tail, Journal, JournalError, JournalMeta, LoadReport,
 };
-pub use mc::{
-    summary_supervised, yield_supervised, yield_vector_supervised,
-    yield_vector_supervised_chunked, McPlan,
-};
+pub use mc::{summary_supervised, yield_supervised, yield_vector_supervised_chunked, McPlan};
 pub use retry::RetryPolicy;
 pub use pool::{
     run_chunks, ChunkCtx, PoolConfig, Progress, ProgressGauge, RunReport, RuntimeError, TaskFault,

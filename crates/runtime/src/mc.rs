@@ -153,14 +153,18 @@ fn decode_counts(s: &str) -> Option<(u64, u64)> {
 /// *same* random draw (common random numbers across metrics), and the
 /// per-metric counts pool into one [`YieldEstimate`] each.
 ///
-/// `init` builds per-chunk worker state — e.g. the batched yield engine's
-/// scratch buffers — once per chunk attempt, so the state never crosses
-/// threads and batched trials keep the per-chunk `stream_rng(seed, chunk)`
-/// streams. `pass` fills `flags[..metrics]` for one trial from the
-/// chunk-stream RNG and the global trial index; flags are cleared before
-/// every trial. Both closures must be pure functions of their arguments
-/// for the jobs-invariance guarantee to hold: the pooled counts are
-/// bit-identical for any `--jobs` value and across kill + resume.
+/// `init` builds per-chunk worker state — e.g. a yield engine and its
+/// lane scratch — once per chunk attempt, so the state never crosses
+/// threads. `run_chunk` receives that state, the chunk-stream RNG
+/// (`stream_rng(seed, chunk)`), the chunk's global start index and
+/// trial count, and must add each metric's pass count into
+/// `passes[..metrics]` after consuming exactly the trials' worth of
+/// decisions (RNG over-read past the last trial is allowed — the stream
+/// dies with the chunk). Both closures must be pure functions of their
+/// arguments for the jobs-invariance guarantee: the pooled counts are
+/// bit-identical for any `--jobs` value and across kill + resume, and
+/// two kernels whose per-trial decisions agree can resume from each
+/// other's `"yield-vector"` journals.
 ///
 /// Trials are also published as fine-grained work units
 /// ([`crate::pool::Progress::units_per_sec`]) for trials/sec display.
@@ -170,91 +174,6 @@ fn decode_counts(s: &str) -> Option<(u64, u64)> {
 /// [`RuntimeError::Stats`] when `metrics == 0`; otherwise any
 /// [`RuntimeError`] from the pool or journal. Corrupt pooled counts are
 /// reported, not asserted.
-pub fn yield_vector_supervised<S, I, F>(
-    policy: &ExecPolicy,
-    plan: &McPlan,
-    params: &str,
-    metrics: usize,
-    init: I,
-    pass: F,
-) -> Result<Supervised<Vec<YieldEstimate>>, RuntimeError>
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &mut Xoshiro256PlusPlus, u64, &mut [bool]) + Sync,
-{
-    if metrics == 0 {
-        return Err(RuntimeError::Stats(ctsdac_stats::StatsError::EmptyData));
-    }
-    let meta = plan.journal_meta("yield-vector", &format!("metrics={metrics},{params}"));
-    let out = run_journaled(
-        policy,
-        &meta,
-        |s| decode_vector_counts(s, metrics),
-        encode_vector_counts,
-        |ctx| {
-            let len = plan.chunk_len(ctx.chunk);
-            let start = plan.chunk_start(ctx.chunk);
-            let mut rng = stream_rng(plan.seed, ctx.chunk);
-            let mut state = init();
-            let mut flags = vec![false; metrics];
-            let mut passes = vec![0u64; metrics];
-            for i in 0..len {
-                flags.iter_mut().for_each(|f| *f = false);
-                pass(&mut state, &mut rng, start + i, &mut flags);
-                for (count, &flag) in passes.iter_mut().zip(&flags) {
-                    *count += u64::from(flag);
-                }
-            }
-            obs::count(obs::Counter::McTrials, len);
-            ctx.add_units(len);
-            if ctx.injected_nan() {
-                // Scripted corruption: an impossible count, which the
-                // validation below must catch and turn into a retry.
-                passes[0] = len + 1;
-            }
-            if passes.iter().any(|&p| p > len) {
-                return Err(format!(
-                    "chunk pass counts {passes:?} exceed its {len} trials"
-                ));
-            }
-            Ok((passes, len))
-        },
-    )?;
-
-    let mut passes = vec![0u64; metrics];
-    let mut trials = 0u64;
-    for (chunk_passes, chunk_trials) in &out.value {
-        for (acc, &p) in passes.iter_mut().zip(chunk_passes) {
-            *acc = acc.saturating_add(p);
-        }
-        trials = trials.saturating_add(*chunk_trials);
-    }
-    let estimates = passes
-        .iter()
-        .map(|&p| YieldEstimate::from_counts(p, trials))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(out.map(|_| estimates))
-}
-
-/// Chunk-granular variant of [`yield_vector_supervised`] for kernels
-/// that process a whole chunk of trials at once (e.g. SIMD-width lane
-/// engines that need the chunk length up front to place remainder
-/// trials in partial lane groups).
-///
-/// `run_chunk` receives the per-chunk state, the chunk-stream RNG, the
-/// chunk's global start index and trial count, and must add each
-/// metric's pass count into `passes[..metrics]` after consuming exactly
-/// the trials' worth of decisions (RNG over-read past the last trial is
-/// allowed — the stream dies with the chunk). It must be a pure function
-/// of `(state, rng, start, len)` for the jobs-invariance guarantee.
-/// Shares the `"yield-vector"` journal family: a run whose per-trial
-/// decisions are bit-identical to a [`yield_vector_supervised`] run can
-/// resume from its journal and vice versa.
-///
-/// # Errors
-///
-/// [`RuntimeError::Stats`] when `metrics == 0`; otherwise any
-/// [`RuntimeError`] from the pool or journal.
 pub fn yield_vector_supervised_chunked<S, I, F>(
     policy: &ExecPolicy,
     plan: &McPlan,
@@ -561,32 +480,37 @@ mod tests {
         assert_eq!(out.faults.len(), 1);
     }
 
-    /// A three-metric pass function with per-chunk state: the state
+    /// A three-metric chunk kernel with per-chunk state: the state
     /// counts trials so the driver's fresh-state-per-chunk contract is
-    /// observable (`flags[2]` depends only on the draw, not history).
-    fn vector_pass(
+    /// observable (every flag depends only on the trial's draw, not on
+    /// history).
+    fn vector_chunk(
         state: &mut u64,
         rng: &mut Xoshiro256PlusPlus,
-        _trial: u64,
-        flags: &mut [bool],
+        _start: u64,
+        len: u64,
+        passes: &mut [u64],
     ) {
-        *state += 1;
-        let x = rng.gen_range(0.0..1.0);
-        flags[0] = x < 0.9;
-        flags[1] = x < 0.5;
-        flags[2] = x < 0.1;
+        for _ in 0..len {
+            *state += 1;
+            let x = rng.gen_range(0.0..1.0);
+            passes[0] += u64::from(x < 0.9);
+            passes[1] += u64::from(x < 0.5);
+            passes[2] += u64::from(x < 0.1);
+        }
+        assert_eq!(*state, len, "chunk state was not fresh");
     }
 
     #[test]
     fn vector_yields_share_draws_and_are_jobs_invariant() {
         let plan = McPlan::new(31, 8_000, 256).expect("plan");
-        let baseline = yield_vector_supervised(
+        let baseline = yield_vector_supervised_chunked(
             &ExecPolicy::sequential(),
             &plan,
             "nested",
             3,
             || 0u64,
-            vector_pass,
+            vector_chunk,
         )
         .expect("sequential");
         assert_eq!(baseline.value.len(), 3);
@@ -595,13 +519,13 @@ mod tests {
         assert!(baseline.value[1].passes() >= baseline.value[2].passes());
         assert!((baseline.value[0].estimate() - 0.9).abs() < 0.02);
         for jobs in [2, 8] {
-            let out = yield_vector_supervised(
+            let out = yield_vector_supervised_chunked(
                 &ExecPolicy::with_jobs(jobs),
                 &plan,
                 "nested",
                 3,
                 || 0u64,
-                vector_pass,
+                vector_chunk,
             )
             .expect("parallel");
             assert_eq!(out.value, baseline.value, "jobs = {jobs}");
@@ -611,29 +535,30 @@ mod tests {
     #[test]
     fn vector_yield_survives_faults_and_rejects_zero_metrics() {
         let plan = McPlan::new(31, 2_000, 128).expect("plan");
-        let clean = yield_vector_supervised(
+        let clean = yield_vector_supervised_chunked(
             &ExecPolicy::sequential(),
             &plan,
             "nested",
             3,
             || 0u64,
-            vector_pass,
+            vector_chunk,
         )
         .expect("clean");
         let mut policy = ExecPolicy::with_jobs(4);
         policy.pool.failpoints = Some(armed("panic@pool.chunk[1]:1,nan@pool.chunk[6]:1"));
-        let faulty = yield_vector_supervised(&policy, &plan, "nested", 3, || 0u64, vector_pass)
-            .expect("supervised");
+        let faulty =
+            yield_vector_supervised_chunked(&policy, &plan, "nested", 3, || 0u64, vector_chunk)
+                .expect("supervised");
         assert_eq!(faulty.value, clean.value);
         assert_eq!(faulty.faults.len(), 2);
 
-        let err = yield_vector_supervised(
+        let err = yield_vector_supervised_chunked(
             &ExecPolicy::sequential(),
             &plan,
             "nested",
             0,
             || 0u64,
-            vector_pass,
+            vector_chunk,
         );
         assert!(matches!(err, Err(RuntimeError::Stats(_))));
     }

@@ -23,11 +23,6 @@
 //!   confidence intervals.
 //! * [`summary`] — streaming descriptive statistics ([`summary::Summary`]),
 //!   percentiles and histograms.
-//! * [`lhs`] — Latin hypercube sampling for variance-reduced sweeps.
-//! * [`variance`] — variance-reduced normal draw plans (antithetic
-//!   pairing, stratified LHS blocks) for the batched yield engine, and
-//!   the [`mc::YieldTest`] sequential stopping rule lives next door in
-//!   [`mc`].
 //!
 //! # Example
 //!
@@ -47,13 +42,11 @@
 
 pub mod ci;
 pub mod erf;
-pub mod lhs;
 pub mod mc;
 pub mod normal;
 pub mod rng;
 pub mod sample;
 pub mod summary;
-pub mod variance;
 
 pub use erf::{erf, erfc};
 pub use mc::{monte_carlo, SequentialYield, StatsError, YieldDecision, YieldEstimate, YieldTest};
@@ -61,4 +54,3 @@ pub use normal::{inv_phi, phi, InvalidProbabilityError, Normal};
 pub use rng::{seeded_rng, stream_rng, Rng, SliceRandom, Xoshiro256PlusPlus};
 pub use sample::NormalSampler;
 pub use summary::Summary;
-pub use variance::{NormalDrawPlan, VarianceReduction};

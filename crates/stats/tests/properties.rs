@@ -5,12 +5,10 @@
 //! registry access. Enable with `cargo test --features proptests`.
 #![cfg(feature = "proptests")]
 
-use ctsdac_stats::lhs::latin_hypercube;
 use ctsdac_stats::normal::{inv_phi, pdf, phi, Normal};
 use ctsdac_stats::rng::{seeded_rng, stream_rng, Rng};
 use ctsdac_stats::sample::NormalSampler;
 use ctsdac_stats::summary::{percentile, Summary};
-use ctsdac_stats::variance::{NormalDrawPlan, VarianceReduction};
 use ctsdac_stats::{erf, erfc};
 
 const CASES: usize = 64;
@@ -274,154 +272,45 @@ fn wilson_interval_always_well_formed() {
 }
 
 // ---------------------------------------------------------------------------
-// Variance-reduced draw streams: chunked vs scalar, bitwise
+// Chunked draw streams, bitwise
 // ---------------------------------------------------------------------------
 
-/// Replicates `NormalDrawPlan`'s private uniform-to-normal map: the
-/// quantile function behind the clamp that keeps the inverse CDF finite.
-fn quantile_reference(u: f64) -> f64 {
-    let p = u.clamp(1e-300, 0.999_999_999_999_999_9);
-    inv_phi(p).unwrap_or(0.0)
-}
-
-/// The antithetic stream is exactly the scalar sampler stream with every
-/// odd trial replaced by the bitwise negation of its even twin — for any
-/// dims, seed and trial count (odd counts end on a half-served pair), and
-/// regardless of how wide a scratch buffer the caller hands in.
+/// Chunked consumption is jobs-invariant by construction: a fresh
+/// `NormalSampler` per trial over one `stream_rng(seed, chunk)` stream
+/// (the yield engine's draw scheme) yields a per-chunk draw matrix that
+/// does not depend on which other chunks ran, or in what order — the
+/// exact contract the supervised yield pool relies on.
 #[test]
-fn antithetic_stream_matches_manual_sampler_reconstruction_bitwise() {
-    let mut rng = seeded_rng(0x57A7_0001);
-    for _ in 0..CASES {
-        let dims = rng.gen_range(1usize..9);
-        let trials = rng.gen_range(1usize..40);
-        let seed = rng.gen_range(0u64..1 << 32);
-        let pad = rng.gen_range(0usize..4);
-
-        let mut plan = NormalDrawPlan::new(dims, VarianceReduction::Antithetic).expect("plan");
-        let mut rng_p = seeded_rng(seed);
-        // Wider-than-dims scratch: slots past `dims` must stay untouched.
-        let mut scratch = vec![f64::NAN; dims + pad];
-        let mut served: Vec<Vec<f64>> = Vec::new();
-        for _ in 0..trials {
-            plan.fill_next(&mut rng_p, &mut scratch);
-            assert!(
-                scratch[dims..].iter().all(|x| x.is_nan()),
-                "fill_next wrote past dims={dims}"
-            );
-            served.push(scratch[..dims].to_vec());
-        }
-
-        // Scalar reconstruction: a fresh sampler per even trial (the
-        // `CellErrors::random` convention), negated bitwise for the twin.
-        let mut rng_m = seeded_rng(seed);
-        let mut even = vec![0.0; dims];
-        for (t, row) in served.iter().enumerate() {
-            if t % 2 == 0 {
-                let mut sampler = NormalSampler::new();
-                sampler.fill(&mut rng_m, &mut even);
-                for (a, b) in row.iter().zip(&even) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "even trial {t}, dims {dims}");
-                }
-            } else {
-                for (a, &b) in row.iter().zip(&even) {
-                    assert_eq!(a.to_bits(), (-b).to_bits(), "odd twin {t}, dims {dims}");
-                }
-            }
-        }
-        assert_eq!(plan.trials_served(), trials as u64);
-    }
-}
-
-/// The stratified stream is exactly the Latin-hypercube block pushed
-/// through the normal quantile, served row-major — reconstructed here
-/// from the public `latin_hypercube` primitive on the same RNG stream,
-/// across block refills (trial counts straddling multiples of `strata`).
-#[test]
-fn stratified_stream_matches_manual_lhs_reconstruction_bitwise() {
-    let mut rng = seeded_rng(0x57A7_0002);
-    for _ in 0..CASES {
-        let dims = rng.gen_range(1usize..7);
-        let strata = rng.gen_range(2usize..13);
-        // Cross at least one refill boundary.
-        let trials = rng.gen_range(strata + 1..4 * strata);
-        let seed = rng.gen_range(0u64..1 << 32);
-
-        let mut plan =
-            NormalDrawPlan::new(dims, VarianceReduction::Stratified { strata }).expect("plan");
-        let mut rng_p = seeded_rng(seed);
-        let mut scratch = vec![0.0; dims];
-        let mut served: Vec<Vec<f64>> = Vec::new();
-        for _ in 0..trials {
-            plan.fill_next(&mut rng_p, &mut scratch);
-            served.push(scratch.clone());
-        }
-
-        let mut rng_m = seeded_rng(seed);
-        let mut expected: Vec<Vec<f64>> = Vec::new();
-        while expected.len() < trials {
-            for point in latin_hypercube(&mut rng_m, strata, dims) {
-                expected.push(point.iter().map(|&u| quantile_reference(u)).collect());
-            }
-        }
-        for (t, (got, want)) in served.iter().zip(&expected).enumerate() {
-            for (d, (a, b)) in got.iter().zip(want).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "trial {t} dim {d}: {a:e} != {b:e} (strata {strata})"
-                );
-            }
-        }
-    }
-}
-
-/// Chunked consumption is jobs-invariant by construction: one fresh plan
-/// per `stream_rng(seed, chunk)` stream yields a per-chunk draw matrix
-/// that does not depend on which other chunks ran, or in what order —
-/// the exact contract the supervised yield pool relies on. Checked
-/// bitwise for both variance-reduction schemes.
-#[test]
-fn chunked_plans_are_consumption_order_invariant_bitwise() {
+fn chunked_draw_streams_are_consumption_order_invariant_bitwise() {
     let mut rng = seeded_rng(0x57A7_0003);
-    let schemes = [
-        VarianceReduction::Antithetic,
-        VarianceReduction::Stratified { strata: 5 },
-        VarianceReduction::Plain,
-    ];
     for _ in 0..16 {
         let dims = rng.gen_range(1usize..8);
         let chunks = rng.gen_range(2u64..6);
         let len = rng.gen_range(3usize..17);
         let seed = rng.gen_range(0u64..1 << 32);
-        for scheme in schemes {
-            let draw_chunk = |chunk: u64| -> Vec<f64> {
-                let mut plan = NormalDrawPlan::new(dims, scheme).expect("plan");
-                let mut rng_c = stream_rng(seed, chunk);
-                let mut scratch = vec![0.0; dims];
-                let mut out = Vec::with_capacity(len * dims);
-                for _ in 0..len {
-                    plan.fill_next(&mut rng_c, &mut scratch);
-                    out.extend_from_slice(&scratch);
-                }
-                out
-            };
-            // Forward order, then reverse order: the per-chunk streams
-            // must be bitwise identical either way.
-            let forward: Vec<Vec<f64>> = (0..chunks).map(draw_chunk).collect();
-            let reverse: Vec<Vec<f64>> = (0..chunks).rev().map(draw_chunk).collect();
-            for c in 0..chunks as usize {
-                let a = &forward[c];
-                let b = &reverse[chunks as usize - 1 - c];
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "chunk {c}, {scheme:?}");
-                }
+        let draw_chunk = |chunk: u64| -> Vec<f64> {
+            let mut rng_c = stream_rng(seed, chunk);
+            let mut scratch = vec![0.0; dims];
+            let mut out = Vec::with_capacity(len * dims);
+            for _ in 0..len {
+                NormalSampler::new().fill(&mut rng_c, &mut scratch);
+                out.extend_from_slice(&scratch);
             }
-            // Distinct chunks are distinct streams, not replays.
-            assert!(
-                forward[0] != forward[1],
-                "chunk streams collide for {scheme:?}"
-            );
+            out
+        };
+        // Forward order, then reverse order: the per-chunk streams
+        // must be bitwise identical either way.
+        let forward: Vec<Vec<f64>> = (0..chunks).map(draw_chunk).collect();
+        let reverse: Vec<Vec<f64>> = (0..chunks).rev().map(draw_chunk).collect();
+        for c in 0..chunks as usize {
+            let a = &forward[c];
+            let b = &reverse[chunks as usize - 1 - c];
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.to_bits(), y.to_bits(), "chunk {c}");
+            }
         }
+        // Distinct chunks are distinct streams, not replays.
+        assert!(forward[0] != forward[1], "chunk streams collide");
     }
 }

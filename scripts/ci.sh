@@ -7,8 +7,8 @@
 #    default build stays dependency-free; CI opts in explicitly. A
 #    dedicated lane-differential stage then re-runs the lane-equivalence
 #    suite on its own line: the SoA kernels must match their scalar
-#    oracles bitwise at W = 4 and 8, every remainder lane count, and
-#    --jobs 1 vs 8. A cascode-differential stage does the same for the
+#    oracles bitwise at W = 4 and 8, every remainder lane count,
+#    --jobs 1, 2 and 8, under injected faults and across resume. A cascode-differential stage does the same for the
 #    table-driven cascoded volume search: its admissibility mask and both
 #    optima must match a brute-force per-point eq. (11) scan bitwise.
 #    An optimum-differential stage holds the best-first simple-cell
@@ -35,8 +35,8 @@
 #    must also keep the lane kernel's recorded speedup over the
 #    reference kernel at or above its validated floor.
 # 6. MC bench smoke: mc_bench with reduced trials must emit a
-#    schema-complete BENCH_mc.json, prove batched-vs-reference and
-#    lanes-vs-reference bit-identity, and stay within the per-trial work
+#    schema-complete BENCH_mc.json, prove lanes-vs-reference
+#    bit-identity, and stay within the per-trial work
 #    budget recorded in the checked-in baseline — a yield-engine
 #    regression that re-walks the full transfer curve per trial fails
 #    here deterministically. The checked-in lane speedup baseline is
@@ -202,12 +202,10 @@ fi
 mc_smoke_json="${TMPDIR:-/tmp}/ctsdac_mc_smoke.json"
 cargo run --offline -q -p ctsdac-bench --bin mc_bench -- \
     --trials 200 --reps 1 --out "$mc_smoke_json" --budget "$mc_budget"
-for key in '"schema": "ctsdac-mc-bench-v1"' \
-           '"bit_identical_batched_vs_reference": true' \
+for key in '"schema": "ctsdac-mc-bench-v2"' \
            '"bit_identical_lanes_vs_reference": true' '"legacy"' \
-           '"reference"' '"batched"' '"lanes"' '"codes_per_trial"' \
-           '"per_trial_work_budget"' '"speedup_batched_over_reference"' \
-           '"speedup_lanes_over_reference"'; do
+           '"reference"' '"lanes"' '"codes_per_trial"' \
+           '"per_trial_work_budget"' '"speedup_lanes_over_reference"'; do
     if ! grep -q "$key" "$mc_smoke_json"; then
         echo "FAIL: $mc_smoke_json is missing $key"
         exit 1

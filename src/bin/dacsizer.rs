@@ -20,8 +20,7 @@
 //! 12-bit, 4+8, 99.7 %-yield design at 400 MS/s.
 //!
 //! The simple-cell search is always exact: it scores every grid point in
-//! closed form and DC-verifies only the chosen design. `--adaptive` is
-//! accepted for compatibility and has no effect.
+//! closed form and DC-verifies only the chosen design.
 //!
 //! `--yield-trials N` sets the trial budget of the yield check (default
 //! 2000). `--yield-ci C` switches the check to a sequential Wilson test at
@@ -118,9 +117,6 @@ struct Args {
     condition: SaturationCondition,
     rate_msps: f64,
     grid: usize,
-    /// `--adaptive`: accepted for compatibility and ignored — the
-    /// simple-cell search is always the exact best-first search.
-    adaptive: bool,
     /// Full-scale output swing in V (overrides the paper's 1.0 V).
     swing: Option<f64>,
     /// Seed for the Monte-Carlo saturation-yield check.
@@ -162,7 +158,6 @@ impl Default for Args {
             condition: SaturationCondition::Statistical,
             rate_msps: 400.0,
             grid: 12,
-            adaptive: false,
             swing: None,
             seed: 1,
             yield_trials: MC_TRIALS,
@@ -269,9 +264,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Command, String> {
             }
             "--grid" => {
                 args.grid = value()?.parse().map_err(|e| format!("--grid: {e}"))?;
-            }
-            "--adaptive" => {
-                args.adaptive = true;
             }
             "--swing" => {
                 args.swing = Some(value()?.parse().map_err(|e| format!("--swing: {e}"))?);
@@ -419,8 +411,7 @@ fn usage() -> &'static str {
      \x20      dacsizer --serve HOST:PORT   (run the sizing daemon; see dacd --help)\n\
      failpoints: kind@site[[key]][:N|N..|1/N],... e.g. panic@pool.chunk[1]:1,\
      nan@pool.chunk[3]:1,delay=50@pool.chunk[0]:1 (implies supervision)\n\
-     the simple-cell search is exact and DC-verifies only the chosen design; \
-     --adaptive is accepted and ignored\n\
+     the simple-cell search is exact and DC-verifies only the chosen design\n\
      exit codes: 0 ok, 2 invalid arguments, 3 empty design space, \
      4 numerical failure, 5 supervised-runtime failure"
 }
@@ -484,7 +475,7 @@ fn main() -> ExitCode {
         condition: args.condition,
         grid: args.grid,
         f_update: args.rate_msps * 1e6,
-        adaptive: args.adaptive,
+        ..FlowOptions::default()
     };
     let supervised = args.supervised();
     // Scoped so the root span closes (and its timing lands in the span
@@ -614,15 +605,16 @@ mod tests {
 
     #[test]
     fn new_flags_are_parsed() {
-        let parsed = parse(&["--seed", "42", "--swing", "1.2", "--adaptive"]).expect("valid");
+        let parsed = parse(&["--seed", "42", "--swing", "1.2"]).expect("valid");
         match parsed {
             Command::Run(a) => {
                 assert_eq!(a.seed, 42);
                 assert_eq!(a.swing, Some(1.2));
-                assert!(a.adaptive);
             }
             _ => panic!("expected a run command"),
         }
+        // The retired no-op `--adaptive` is an unknown flag now.
+        assert!(parse(&["--adaptive"]).is_err());
     }
 
     #[test]

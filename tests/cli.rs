@@ -85,6 +85,14 @@ fn bad_flag_exits_2_with_usage() {
 }
 
 #[test]
+fn retired_adaptive_flag_exits_2_as_unknown() {
+    let run = dacsizer(&["--adaptive"]);
+    assert_eq!(run.code, Some(2));
+    assert!(run.stderr.contains("unknown flag '--adaptive'"), "{}", run.stderr);
+    assert!(run.stderr.contains("usage:"), "{}", run.stderr);
+}
+
+#[test]
 fn invalid_yield_exits_2() {
     let run = dacsizer(&["--yield", "1.5"]);
     assert_eq!(run.code, Some(2));
