@@ -109,7 +109,6 @@ fn time_best<F: FnMut()>(reps: u32, mut run: F) -> f64 {
     best
 }
 
-
 fn strategy_json(wall_s: f64, trials: u64, yields: &FusedYields) -> String {
     format!(
         "{{\n      \"wall_s\": {:.6e},\n      \"trials\": {},\n      \
@@ -251,7 +250,10 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"reps\": {},", args.reps);
     let _ = writeln!(json, "  \"sigma_unit\": {sigma:.8e},");
     let _ = writeln!(json, "  \"codes_per_curve\": {codes_per_curve},");
-    let _ = writeln!(json, "  \"bit_identical_lanes_vs_reference\": {lanes_identical},");
+    let _ = writeln!(
+        json,
+        "  \"bit_identical_lanes_vs_reference\": {lanes_identical},"
+    );
     let _ = writeln!(
         json,
         "  \"legacy\": {},",
@@ -273,10 +275,7 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "    \"relative_overhead\": {obs_overhead:.4}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"codes_per_trial\": {codes_per_trial:.1},");
-    let _ = writeln!(
-        json,
-        "  \"per_trial_work_budget\": {recorded_budget:.1},"
-    );
+    let _ = writeln!(json, "  \"per_trial_work_budget\": {recorded_budget:.1},");
     let _ = writeln!(
         json,
         "  \"speedup_lanes_over_reference\": {speedup_lanes_ref:.3},"

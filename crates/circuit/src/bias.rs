@@ -80,7 +80,10 @@ impl fmt::Display for BiasError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BiasError::WrongTopology { expected, found } => {
-                write!(f, "bias query for the {found} topology (requires {expected})")
+                write!(
+                    f,
+                    "bias query for the {found} topology (requires {expected})"
+                )
             }
             BiasError::Infeasible(e) => e.fmt(f),
             BiasError::MissingCascode => {
@@ -309,8 +312,7 @@ mod tests {
     fn simple_cell(vov_cs: f64, vov_sw: f64) -> (SizedCell, CellEnvironment) {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, vov_cs, vov_sw, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, vov_cs, vov_sw, 400e-12, None);
         (cell, env)
     }
 

@@ -354,9 +354,7 @@ impl SizedCell {
 
     /// Total active gate area of the cell: CS + both switches + cascode.
     pub fn total_area(&self) -> f64 {
-        self.cs.area()
-            + 2.0 * self.sw.area()
-            + self.cas.as_ref().map_or(0.0, |c| c.area())
+        self.cs.area() + 2.0 * self.sw.area() + self.cas.as_ref().map_or(0.0, |c| c.area())
     }
 
     /// Parasitics of the CS device.
@@ -407,7 +405,10 @@ fn size_device(
     area: Option<f64>,
     length: Option<f64>,
 ) -> Mosfet {
-    assert!(i_unit.is_finite() && i_unit > 0.0, "invalid current {i_unit}");
+    assert!(
+        i_unit.is_finite() && i_unit > 0.0,
+        "invalid current {i_unit}"
+    );
     assert!(vov.is_finite() && vov > 0.0, "invalid overdrive {vov}");
     let aspect = aspect_for_current(&tech.nmos, i_unit, vov);
     match area {
@@ -446,8 +447,7 @@ mod tests {
     #[test]
     fn simple_cell_respects_area_and_aspect() {
         let tech = Technology::c035();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
         let cs = cell.cs();
         assert!((cs.area() - 400e-12).abs() / 400e-12 < 1e-9);
         // Aspect ratio must reproduce the current at the requested overdrive.
@@ -457,19 +457,19 @@ mod tests {
     #[test]
     fn switch_takes_minimum_length_by_default() {
         let tech = Technology::c035();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
         assert_eq!(cell.sw().l(), tech.l_min);
-        assert!((cell.sw().id_saturation(0.6) - 78.1e-6).abs() / 78.1e-6 < 1e-9
-            || cell.sw().w() == tech.w_min);
+        assert!(
+            (cell.sw().id_saturation(0.6) - 78.1e-6).abs() / 78.1e-6 < 1e-9
+                || cell.sw().w() == tech.w_min
+        );
     }
 
     #[test]
     fn cascoded_cell_has_three_devices() {
         let tech = Technology::c035();
-        let cell = SizedCell::cascoded_from_overdrives(
-            &tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None,
-        );
+        let cell =
+            SizedCell::cascoded_from_overdrives(&tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None);
         assert_eq!(cell.topology(), CellTopology::Cascoded);
         assert!(cell.cas().is_some());
         assert!((cell.overdrive_sum() - 1.2).abs() < 1e-12);
@@ -500,16 +500,14 @@ mod tests {
         let e = env(); // V_out,min = 2.3 V
         let ok = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 1.0, 1.0, 400e-12, None);
         assert!(ok.is_feasible(&e));
-        let bad =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 1.5, 1.0, 400e-12, None);
+        let bad = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 1.5, 1.0, 400e-12, None);
         assert!(!bad.is_feasible(&e));
     }
 
     #[test]
     fn total_area_counts_both_switches() {
         let tech = Technology::c035();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
         let expected = cell.cs().area() + 2.0 * cell.sw().area();
         assert!((cell.total_area() - expected).abs() < 1e-24);
     }
@@ -532,8 +530,7 @@ mod tests {
     #[test]
     fn display_mentions_topology() {
         let tech = Technology::c035();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
         assert!(cell.to_string().contains("CS+SW"));
     }
 

@@ -49,9 +49,9 @@
 //! scalar [`solve_simple`] bits.
 
 use crate::cell::{CellEnvironment, CellTopology, SizedCell};
+use core::fmt;
 use ctsdac_obs as obs;
 use ctsdac_process::mosfet::{Mosfet, Region};
-use core::fmt;
 
 /// Which stage of the retry ladder produced (or failed to produce) the
 /// solution.
@@ -711,10 +711,7 @@ fn simple_jacobian(
     let [v_a, v_out] = *x;
     let (_, _, cs_dvd, _) = device_current_and_partials(cs, v_gate_cs, v_a, 0.0);
     let (_, _, sw_dvd, sw_dvs) = device_current_and_partials(sw, v_gate_sw, v_out, v_a);
-    [
-        [sw_dvs - cs_dvd, sw_dvd],
-        [-sw_dvs, -1.0 / env.rl - sw_dvd],
-    ]
+    [[sw_dvs - cs_dvd, sw_dvd], [-sw_dvs, -1.0 / env.rl - sw_dvd]]
 }
 
 /// [`simple_residuals`] and [`simple_jacobian`] fused into one pass: each
@@ -737,10 +734,7 @@ fn simple_residuals_and_jacobian(
     let i_load = (env.vdd - v_out) / env.rl;
     (
         [i_sw - i_cs, i_load - i_sw],
-        [
-            [sw_dvs - cs_dvd, sw_dvd],
-            [-sw_dvs, -1.0 / env.rl - sw_dvd],
-        ],
+        [[sw_dvs - cs_dvd, sw_dvd], [-sw_dvs, -1.0 / env.rl - sw_dvd]],
     )
 }
 
@@ -918,7 +912,9 @@ fn solve_simple_impl(
 
     let (stage, x, iterations, residual) =
         run_ladder(&residuals, fj, x0, env.vdd, tol, &mut bisect)?;
-    Ok(assemble_simple_op(cs, sw, env, v_gate_cs, v_gate_sw, stage, x, iterations, residual))
+    Ok(assemble_simple_op(
+        cs, sw, env, v_gate_cs, v_gate_sw, stage, x, iterations, residual,
+    ))
 }
 
 /// Solves the DC operating point of the simple cell with the switch gate at
@@ -937,7 +933,12 @@ pub fn solve_simple(
     env: &CellEnvironment,
     v_gate_sw: f64,
 ) -> Result<OperatingPoint, SolveDcError> {
-    observe_dc(solve_simple_impl(cell, env, v_gate_sw, JacobianMode::Analytic))
+    observe_dc(solve_simple_impl(
+        cell,
+        env,
+        v_gate_sw,
+        JacobianMode::Analytic,
+    ))
 }
 
 /// [`solve_simple`] with the pre-optimization central-difference Jacobian
@@ -952,7 +953,12 @@ pub fn solve_simple_reference(
     env: &CellEnvironment,
     v_gate_sw: f64,
 ) -> Result<OperatingPoint, SolveDcError> {
-    observe_dc(solve_simple_impl(cell, env, v_gate_sw, JacobianMode::CentralDifference))
+    observe_dc(solve_simple_impl(
+        cell,
+        env,
+        v_gate_sw,
+        JacobianMode::CentralDifference,
+    ))
 }
 
 /// Stage-1 outcome of one lane of the lane-wide Newton kernel.
@@ -1374,8 +1380,7 @@ mod tests {
         let env = CellEnvironment::paper_12bit();
         // A single unary cell's worth of current so the load drop is small
         // (one cell alone barely moves a 50 Ω load).
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
         (cell, env)
     }
 
@@ -1494,11 +1499,9 @@ mod tests {
     fn wrong_topology_is_a_typed_error() {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let simple =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
-        let cascoded = SizedCell::cascoded_from_overdrives(
-            &tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None,
-        );
+        let simple = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cascoded =
+            SizedCell::cascoded_from_overdrives(&tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None);
         assert!(matches!(
             solve_simple(&cascoded, &env, 1.5),
             Err(SolveDcError::WrongTopology {
@@ -1585,8 +1588,14 @@ mod tests {
         // certified widths, including the empty batch.
         for n in 0..=cells.len() {
             for (label, lanes) in [
-                ("W=4", solve_simple_lanes::<4>(&cells[..n], &env, &gates[..n])),
-                ("W=8", solve_simple_lanes::<8>(&cells[..n], &env, &gates[..n])),
+                (
+                    "W=4",
+                    solve_simple_lanes::<4>(&cells[..n], &env, &gates[..n]),
+                ),
+                (
+                    "W=8",
+                    solve_simple_lanes::<8>(&cells[..n], &env, &gates[..n]),
+                ),
             ] {
                 assert_eq!(lanes.len(), n);
                 for (l, (lane, sc)) in lanes.iter().zip(&scalar[..n]).enumerate() {
@@ -1621,21 +1630,16 @@ mod tests {
         // healthy lanes must match their solo scalar solves exactly.
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let healthy =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
-        let cascoded = SizedCell::cascoded_from_overdrives(
-            &tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None,
-        );
+        let healthy = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cascoded =
+            SizedCell::cascoded_from_overdrives(&tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None);
         let opt = OptimumBias::of(&healthy, &env).expect("feasible");
         let cells = vec![healthy.clone(), cascoded, healthy.clone(), healthy.clone()];
         let gates = vec![opt.v_gate_sw, 1.5, 0.0, opt.v_gate_sw];
         let lanes = solve_simple_lanes::<4>(&cells, &env, &gates);
         let solo = solve_simple(&healthy, &env, opt.v_gate_sw).unwrap();
         assert_eq!(lanes[0].as_ref().unwrap(), &solo);
-        assert!(matches!(
-            lanes[1],
-            Err(SolveDcError::WrongTopology { .. })
-        ));
+        assert!(matches!(lanes[1], Err(SolveDcError::WrongTopology { .. })));
         assert_eq!(
             lanes[2].as_ref().unwrap(),
             &solve_simple(&healthy, &env, 0.0).unwrap()
@@ -1687,14 +1691,10 @@ mod tests {
             (i_sw - i_cs, i_load - i_sw)
         };
         let v_out_for = |v_a: f64| {
-            bisect_decreasing(&mut |v_out| Ok(residuals(v_a, v_out).1), env.vdd)
-                .expect("finite")
+            bisect_decreasing(&mut |v_out| Ok(residuals(v_a, v_out).1), env.vdd).expect("finite")
         };
-        let v_a = bisect_decreasing(
-            &mut |v_a| Ok(residuals(v_a, v_out_for(v_a)).0),
-            env.vdd,
-        )
-        .expect("finite");
+        let v_a = bisect_decreasing(&mut |v_a| Ok(residuals(v_a, v_out_for(v_a)).0), env.vdd)
+            .expect("finite");
         assert!(
             (v_a - newton_op.v_node_a).abs() < 1e-9,
             "bisection VA {v_a} vs newton {}",
@@ -1706,9 +1706,8 @@ mod tests {
     fn cascoded_cell() -> (SizedCell, CellEnvironment) {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cell = SizedCell::cascoded_from_overdrives(
-            &tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None,
-        );
+        let cell =
+            SizedCell::cascoded_from_overdrives(&tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None);
         (cell, env)
     }
 
@@ -1790,8 +1789,7 @@ mod tests {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
         for &(vcs, vsw) in &[(0.3, 0.3), (0.5, 0.8), (0.9, 0.5), (1.1, 1.0)] {
-            let cell =
-                SizedCell::simple_from_overdrives(&tech, 78.1e-6, vcs, vsw, 400e-12, None);
+            let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, vcs, vsw, 400e-12, None);
             let opt = OptimumBias::of(&cell, &env).expect("feasible");
             let op = solve_simple(&cell, &env, opt.v_gate_sw).expect("converges");
             assert!(op.all_saturated(), "({vcs},{vsw}): {op}");
@@ -1817,12 +1815,8 @@ mod tests {
         let analytic = |x: &[f64; 2]| -> [[f64; 2]; 2] {
             let [v_a, v_out] = *x;
             let (_, _, cs_dvd, _) = device_current_and_partials(cs, v_gate_cs, v_a, 0.0);
-            let (_, _, sw_dvd, sw_dvs) =
-                device_current_and_partials(sw, v_gate_sw, v_out, v_a);
-            [
-                [sw_dvs - cs_dvd, sw_dvd],
-                [-sw_dvs, -1.0 / env.rl - sw_dvd],
-            ]
+            let (_, _, sw_dvd, sw_dvs) = device_current_and_partials(sw, v_gate_sw, v_out, v_a);
+            [[sw_dvs - cs_dvd, sw_dvd], [-sw_dvs, -1.0 / env.rl - sw_dvd]]
         };
         // Operating points across saturation, triode and cutoff mixes.
         for x in [[1.05, 3.29], [0.4, 3.0], [1.8, 2.0], [2.9, 3.1], [0.2, 0.3]] {
@@ -1856,15 +1850,12 @@ mod tests {
             (2.0, 2.05, 1.9),
         ] {
             let (_, dvg, dvd, dvs) = device_current_and_partials(sw, vg, vd, vs);
-            let num_dvg =
-                (device_current(sw, vg + h, vd, vs) - device_current(sw, vg - h, vd, vs))
-                    / (2.0 * h);
-            let num_dvd =
-                (device_current(sw, vg, vd + h, vs) - device_current(sw, vg, vd - h, vs))
-                    / (2.0 * h);
-            let num_dvs =
-                (device_current(sw, vg, vd, vs + h) - device_current(sw, vg, vd, vs - h))
-                    / (2.0 * h);
+            let num_dvg = (device_current(sw, vg + h, vd, vs) - device_current(sw, vg - h, vd, vs))
+                / (2.0 * h);
+            let num_dvd = (device_current(sw, vg, vd + h, vs) - device_current(sw, vg, vd - h, vs))
+                / (2.0 * h);
+            let num_dvs = (device_current(sw, vg, vd, vs + h) - device_current(sw, vg, vd, vs - h))
+                / (2.0 * h);
             for (a, n, name) in [
                 (dvg, num_dvg, "dvg"),
                 (dvd, num_dvd, "dvd"),
@@ -1892,9 +1883,15 @@ mod tests {
         let residuals = |x: &[f64; 2]| simple_residuals(cs, sw, env, v_gate_cs, v_gate_sw, x);
         let fused =
             |x: &[f64; 2]| simple_residuals_and_jacobian(cs, sw, env, v_gate_cs, v_gate_sw, x);
-        let (_, x, _, _) =
-            run_ladder(&residuals, Some(&fused), x0, env.vdd, tolerance(cell), &mut || Err(()))
-                .expect("Newton ladder converges");
+        let (_, x, _, _) = run_ladder(
+            &residuals,
+            Some(&fused),
+            x0,
+            env.vdd,
+            tolerance(cell),
+            &mut || Err(()),
+        )
+        .expect("Newton ladder converges");
         x
     }
 
@@ -1905,8 +1902,7 @@ mod tests {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
         for &(vcs, vsw) in &[(0.3, 0.3), (0.5, 0.6), (0.9, 0.5), (1.1, 1.0)] {
-            let cell =
-                SizedCell::simple_from_overdrives(&tech, 78.1e-6, vcs, vsw, 400e-12, None);
+            let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, vcs, vsw, 400e-12, None);
             let opt = OptimumBias::of(&cell, &env).expect("feasible");
             let cold = solve_simple(&cell, &env, opt.v_gate_sw).expect("converges");
             // Starts: the exact solution, a perturbed neighbour, and a

@@ -46,7 +46,10 @@ use crate::impedance::rout_at_frequency;
 pub fn sfdr_single_ended_db(n_units: u64, rl: f64, z_unit: f64) -> f64 {
     assert!(n_units > 0, "need at least one unit");
     assert!(rl.is_finite() && rl > 0.0, "invalid load {rl}");
-    assert!(z_unit.is_finite() && z_unit > 0.0, "invalid impedance {z_unit}");
+    assert!(
+        z_unit.is_finite() && z_unit > 0.0,
+        "invalid impedance {z_unit}"
+    );
     let a = rl / z_unit;
     -20.0 * (a * n_units as f64 / 4.0).log10()
 }
@@ -96,7 +99,10 @@ pub fn sfdr_vs_frequency(
     freqs: &[f64],
 ) -> Result<Vec<SfdrPoint>, crate::bias::BiasError> {
     assert!(weight > 0, "invalid weight");
-    assert!((1..=24).contains(&n_bits), "unsupported resolution {n_bits}");
+    assert!(
+        (1..=24).contains(&n_bits),
+        "unsupported resolution {n_bits}"
+    );
     let n_units = 1u64 << n_bits;
     freqs
         .iter()
@@ -162,8 +168,7 @@ mod tests {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
         let i_unary = 78.1e-6;
-        let simple =
-            SizedCell::simple_from_overdrives(&tech, i_unary, 0.5, 0.6, 6400e-12, None);
+        let simple = SizedCell::simple_from_overdrives(&tech, i_unary, 0.5, 0.6, 6400e-12, None);
         let cascoded = SizedCell::cascoded_from_overdrives(
             &tech, i_unary, 0.5, 0.3, 0.6, 6400e-12, None, None,
         );
@@ -179,20 +184,17 @@ mod tests {
 
     #[test]
     fn sfdr_improves_with_impedance() {
-        assert!(
-            sfdr_single_ended_db(4096, 50.0, 1e10) > sfdr_single_ended_db(4096, 50.0, 1e9)
-        );
+        assert!(sfdr_single_ended_db(4096, 50.0, 1e10) > sfdr_single_ended_db(4096, 50.0, 1e9));
         // 10× impedance buys exactly 20 dB single-ended.
-        let d = sfdr_single_ended_db(4096, 50.0, 1e10)
-            - sfdr_single_ended_db(4096, 50.0, 1e9);
+        let d = sfdr_single_ended_db(4096, 50.0, 1e10) - sfdr_single_ended_db(4096, 50.0, 1e9);
         assert!((d - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn sfdr_falls_with_frequency() {
         let (simple, _, env) = cells();
-        let pts = sfdr_vs_frequency(&simple, &env, 16, 12, &[0.0, 1e6, 10e6, 100e6])
-            .expect("feasible");
+        let pts =
+            sfdr_vs_frequency(&simple, &env, 16, 12, &[0.0, 1e6, 10e6, 100e6]).expect("feasible");
         for w in pts.windows(2) {
             assert!(
                 w[1].sfdr_diff_db <= w[0].sfdr_diff_db + 1e-9,

@@ -222,17 +222,13 @@ pub fn rout_at_frequency_with_bias(
             let v_a = opt.v_node_a;
             let ro_cs = ro_device(cell.cs().lambda(), id, v_a, v_a - cell.vov_cs());
             let vds_sw = (env.v_out_min() - v_a).max(0.0);
-            let ro_sw =
-                ro_device(cell.sw().lambda(), id, vds_sw, vds_sw - cell.vov_sw());
-            let gm = cell.sw().gm(id, cell.vov_sw())
-                + cell.sw().gmb(id, cell.vov_sw(), v_a.max(0.0));
+            let ro_sw = ro_device(cell.sw().lambda(), id, vds_sw, vds_sw - cell.vov_sw());
+            let gm =
+                cell.sw().gm(id, cell.vov_sw()) + cell.sw().gmb(id, cell.vov_sw(), v_a.max(0.0));
             let c_a = cell.cs_caps().cdb + cell.sw_caps().cgs + env.c_int;
             let z_a = Cplx::real(ro_cs).parallel_cap(c_a, w);
             // Z_out = ro_sw + Z_A + gm·ro_sw·Z_A
-            Ok(Cplx::real(ro_sw)
-                .add(z_a)
-                .add(z_a.scale(gm * ro_sw))
-                .abs())
+            Ok(Cplx::real(ro_sw).add(z_a).add(z_a.scale(gm * ro_sw)).abs())
         }
         CellTopology::Cascoded => {
             let (Some(cas), Some(cas_caps), Some(vov_cas)) =
@@ -246,19 +242,16 @@ pub fn rout_at_frequency_with_bias(
             let vds_cas = (v_b - v_a).max(0.0);
             let ro_cas = ro_device(cas.lambda(), id, vds_cas, vds_cas - vov_cas);
             let vds_sw = (env.v_out_min() - v_b).max(0.0);
-            let ro_sw =
-                ro_device(cell.sw().lambda(), id, vds_sw, vds_sw - cell.vov_sw());
+            let ro_sw = ro_device(cell.sw().lambda(), id, vds_sw, vds_sw - cell.vov_sw());
             let gm_cas = cas.gm(id, vov_cas) + cas.gmb(id, vov_cas, v_a.max(0.0));
-            let gm_sw = cell.sw().gm(id, cell.vov_sw())
-                + cell.sw().gmb(id, cell.vov_sw(), v_b.max(0.0));
+            let gm_sw =
+                cell.sw().gm(id, cell.vov_sw()) + cell.sw().gmb(id, cell.vov_sw(), v_b.max(0.0));
             // Node A: CS drain shunted by its junction + cascode source cap.
             let c_a = cell.cs_caps().cdb + cas_caps.cgs;
             let z_a = Cplx::real(ro_cs).parallel_cap(c_a, w);
             // Impedance looking into the cascode drain, shunted at node B by
             // its junction + switch gate + interconnect.
-            let z_b_raw = Cplx::real(ro_cas)
-                .add(z_a)
-                .add(z_a.scale(gm_cas * ro_cas));
+            let z_b_raw = Cplx::real(ro_cas).add(z_a).add(z_a.scale(gm_cas * ro_cas));
             let c_b = cas_caps.cdb + cell.sw_caps().cgs + env.c_int;
             let z_b = z_b_raw.parallel_cap(c_b, w);
             Ok(Cplx::real(ro_sw)
@@ -345,7 +338,10 @@ pub fn optimal_gate_numeric(
 pub fn inl_from_output_impedance(n: u32, rl: f64, r_unit: f64) -> f64 {
     assert!((1..=24).contains(&n), "unsupported resolution {n}");
     assert!(rl.is_finite() && rl > 0.0, "invalid load {rl}");
-    assert!(r_unit.is_finite() && r_unit > 0.0, "invalid impedance {r_unit}");
+    assert!(
+        r_unit.is_finite() && r_unit > 0.0,
+        "invalid impedance {r_unit}"
+    );
     let big_n = (1u64 << n) as f64;
     rl * big_n * big_n / (4.0 * r_unit)
 }
@@ -375,8 +371,7 @@ mod tests {
     fn simple_cell() -> (SizedCell, CellEnvironment) {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.6, 0.7, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.6, 0.7, 400e-12, None);
         (cell, env)
     }
 
@@ -392,11 +387,9 @@ mod tests {
     fn cascode_multiplies_impedance() {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let simple =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
-        let cascoded = SizedCell::cascoded_from_overdrives(
-            &tech, 78.1e-6, 0.5, 0.3, 0.6, 400e-12, None, None,
-        );
+        let simple = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.6, 400e-12, None);
+        let cascoded =
+            SizedCell::cascoded_from_overdrives(&tech, 78.1e-6, 0.5, 0.3, 0.6, 400e-12, None, None);
         let boost = rout_at_optimum(&cascoded, &env).expect("feasible")
             / rout_at_optimum(&simple, &env).expect("feasible");
         assert!(boost > 20.0, "cascode boost only {boost}");
@@ -408,8 +401,7 @@ mod tests {
         // close to the golden-section optimum impedance.
         let (cell, env) = simple_cell();
         let opt = crate::bias::OptimumBias::of(&cell, &env).expect("feasible");
-        let at_midpoint =
-            rout_simple_at_gate(&cell, &env, opt.v_gate_sw).expect("simple");
+        let at_midpoint = rout_simple_at_gate(&cell, &env, opt.v_gate_sw).expect("simple");
         let (_, best) = optimal_gate_numeric(&cell, &env).expect("feasible");
         assert!(
             at_midpoint > 0.5 * best,
@@ -436,15 +428,17 @@ mod tests {
         let dc = rout_at_frequency(&cell, &env, 0.0).expect("feasible");
         let mid = rout_at_frequency(&cell, &env, 1e6).expect("feasible");
         let high = rout_at_frequency(&cell, &env, 53e6).expect("feasible");
-        assert!(dc >= mid && mid > high, "dc {dc}, 1 MHz {mid}, 53 MHz {high}");
+        assert!(
+            dc >= mid && mid > high,
+            "dc {dc}, 1 MHz {mid}, 53 MHz {high}"
+        );
     }
 
     #[test]
     fn infeasible_cell_yields_typed_error() {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 1.5, 1.0, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 1.5, 1.0, 400e-12, None);
         assert!(matches!(
             rout_at_optimum(&cell, &env),
             Err(BiasError::Infeasible(_))
@@ -459,9 +453,8 @@ mod tests {
     fn wrong_topology_yields_typed_error() {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cascoded = SizedCell::cascoded_from_overdrives(
-            &tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None,
-        );
+        let cascoded =
+            SizedCell::cascoded_from_overdrives(&tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None);
         assert!(matches!(
             rout_simple_at_gate(&cascoded, &env, 1.5),
             Err(BiasError::WrongTopology { .. })
@@ -494,8 +487,7 @@ mod tests {
         let i_lsb = env.lsb_current(12);
         let needed = required_output_impedance(12, env.rl, 0.25);
 
-        let simple =
-            SizedCell::simple_from_overdrives(&tech, i_lsb, 0.5, 0.6, 400e-12, None);
+        let simple = SizedCell::simple_from_overdrives(&tech, i_lsb, 0.5, 0.6, 400e-12, None);
         let z_simple_dc = rout_at_frequency(&simple, &env, 0.0).expect("feasible");
         let z_simple_hf = rout_at_frequency(&simple, &env, 53e6).expect("feasible");
         assert!(
@@ -509,9 +501,8 @@ mod tests {
         // capacitance limits both topologies alike — the SFDR-bandwidth
         // limitation of [8], and the reason the paper's measured SFDR sits
         // far below the mismatch-limited ideal.
-        let cascoded = SizedCell::cascoded_from_overdrives(
-            &tech, i_lsb, 0.5, 0.3, 0.6, 400e-12, None, None,
-        );
+        let cascoded =
+            SizedCell::cascoded_from_overdrives(&tech, i_lsb, 0.5, 0.3, 0.6, 400e-12, None, None);
         let z_cas_dc = rout_at_frequency(&cascoded, &env, 0.0).expect("feasible");
         assert!(
             z_cas_dc > 10.0 * needed,

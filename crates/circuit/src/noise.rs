@@ -45,7 +45,10 @@ pub fn output_noise_density(
     n_bits: u32,
     temp_k: f64,
 ) -> f64 {
-    assert!((1..=24).contains(&n_bits), "unsupported resolution {n_bits}");
+    assert!(
+        (1..=24).contains(&n_bits),
+        "unsupported resolution {n_bits}"
+    );
     let n_units = ((1u64 << n_bits) - 1) as f64;
     let i_density = n_units * cell_noise_density(lsb_cell, temp_k);
     i_density * env.rl * env.rl + 4.0 * BOLTZMANN * temp_k * env.rl
@@ -74,8 +77,7 @@ mod tests {
     fn lsb_cell() -> (SizedCell, CellEnvironment) {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 4.88e-6, 0.5, 0.6, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 4.88e-6, 0.5, 0.6, 400e-12, None);
         (cell, env)
     }
 

@@ -112,11 +112,7 @@ impl PoleModel {
     /// [`BiasError::Infeasible`] if the cell is infeasible in `env` (the
     /// bias point would not exist); [`BiasError::MissingCascode`] for an
     /// inconsistently built cascoded cell.
-    pub fn poles(
-        &self,
-        cell: &SizedCell,
-        env: &CellEnvironment,
-    ) -> Result<TwoPoles, BiasError> {
+    pub fn poles(&self, cell: &SizedCell, env: &CellEnvironment) -> Result<TwoPoles, BiasError> {
         let opt = OptimumBias::of(cell, env)?;
         self.poles_with_bias(cell, env, &opt)
     }
@@ -162,14 +158,16 @@ impl PoleModel {
                 let p_node_b = gm_sw / (two_pi * c_node_b);
                 // Node A (CS drain / cascode source): discharged by the
                 // cascode.
-                let gm_cas =
-                    cas.gm(id, vov_cas) + cas.gmb(id, vov_cas, opt.v_node_a.max(0.0));
+                let gm_cas = cas.gm(id, vov_cas) + cas.gmb(id, vov_cas, opt.v_node_a.max(0.0));
                 let c_node_a = cell.cs_caps().cdb + cas_caps.cgs;
                 let p_node_a = gm_cas / (two_pi * c_node_a);
                 p_node_b.min(p_node_a)
             }
         };
-        Ok(TwoPoles { p1_hz: p1, p2_hz: p2 })
+        Ok(TwoPoles {
+            p1_hz: p1,
+            p2_hz: p2,
+        })
     }
 }
 
@@ -181,8 +179,7 @@ mod tests {
     fn paper_cell(vov_cs: f64, vov_sw: f64) -> (SizedCell, CellEnvironment) {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cell =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, vov_cs, vov_sw, 400e-12, None);
+        let cell = SizedCell::simple_from_overdrives(&tech, 78.1e-6, vov_cs, vov_sw, 400e-12, None);
         (cell, env)
     }
 
@@ -222,10 +219,8 @@ mod tests {
         // dominating, gm wins: check the direction with C_int large.
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let slow =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.9, 400e-12, None);
-        let fast =
-            SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.3, 400e-12, None);
+        let slow = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.9, 400e-12, None);
+        let fast = SizedCell::simple_from_overdrives(&tech, 78.1e-6, 0.5, 0.3, 400e-12, None);
         let model = PoleModel::new(259);
         let p_slow = model.poles(&slow, &env).expect("feasible").p2_hz;
         let p_fast = model.poles(&fast, &env).expect("feasible").p2_hz;
@@ -240,9 +235,7 @@ mod tests {
         let (cell, env) = paper_cell(0.5, 0.6);
         let poles = PoleModel::new(259).poles(&cell, &env).expect("feasible");
         let tau = poles.dominant_tau();
-        assert!(
-            (tau * 2.0 * core::f64::consts::PI * poles.dominant_hz() - 1.0).abs() < 1e-12
-        );
+        assert!((tau * 2.0 * core::f64::consts::PI * poles.dominant_hz() - 1.0).abs() < 1e-12);
         let (t1, t2) = poles.taus();
         assert!((tau - t1.max(t2)).abs() < 1e-18);
     }
@@ -251,10 +244,11 @@ mod tests {
     fn cascoded_cell_has_two_internal_nodes() {
         let tech = Technology::c035();
         let env = CellEnvironment::paper_12bit();
-        let cascoded = SizedCell::cascoded_from_overdrives(
-            &tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None,
-        );
-        let poles = PoleModel::new(259).poles(&cascoded, &env).expect("feasible");
+        let cascoded =
+            SizedCell::cascoded_from_overdrives(&tech, 78.1e-6, 0.4, 0.3, 0.5, 400e-12, None, None);
+        let poles = PoleModel::new(259)
+            .poles(&cascoded, &env)
+            .expect("feasible");
         assert!(poles.p2_hz.is_finite() && poles.p2_hz > 0.0);
     }
 

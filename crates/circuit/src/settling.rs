@@ -301,7 +301,10 @@ mod tests {
             (970e6, 920e6),
             (1e3, 1e3),
         ] {
-            let poles = TwoPoles { p1_hz: p1, p2_hz: p2 };
+            let poles = TwoPoles {
+                p1_hz: p1,
+                p2_hz: p2,
+            };
             for n in [1u32, 8, 12, 24] {
                 let eps = 0.5 / (1u64 << n) as f64;
                 let fast = settling_time_two_pole(&poles, n);
@@ -324,7 +327,10 @@ mod tests {
         // fused algebra bitwise against the standalone functions on both
         // the generic and the confluent branch.
         for (p1, p2) in [(200e6, 600e6), (150e6, 150e6), (970e6, 920e6), (10e6, 1e9)] {
-            let poles = TwoPoles { p1_hz: p1, p2_hz: p2 };
+            let poles = TwoPoles {
+                p1_hz: p1,
+                p2_hz: p2,
+            };
             let (t1, t2) = poles.taus();
             let rel = (t1 - t2).abs() / t1.max(t2);
             for i in 1..60 {
@@ -336,10 +342,7 @@ mod tests {
                 } else {
                     let e1 = (-t / t1).exp();
                     let e2 = (-t / t2).exp();
-                    (
-                        1.0 - (t1 * e1 - t2 * e2) / (t1 - t2),
-                        (e1 - e2) / (t1 - t2),
-                    )
+                    (1.0 - (t1 * e1 - t2 * e2) / (t1 - t2), (e1 - e2) / (t1 - t2))
                 };
                 assert_eq!(
                     y.to_bits(),

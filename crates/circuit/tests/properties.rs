@@ -126,7 +126,10 @@ fn settling_time_brackets() {
         let p1 = rng.gen_range(1e7..1e10);
         let p2 = rng.gen_range(1e7..1e10);
         let n = rng.gen_range(6u32..16);
-        let poles = TwoPoles { p1_hz: p1, p2_hz: p2 };
+        let poles = TwoPoles {
+            p1_hz: p1,
+            p2_hz: p2,
+        };
         let t = settling_time_two_pole(&poles, n);
         let (t1, t2) = poles.taus();
         let eps = 0.5 / (1u64 << n) as f64;
@@ -155,7 +158,10 @@ fn settling_newton_matches_bisection() {
         };
         let n = rng.gen_range(1u32..25);
         let eps = 0.5 / (1u64 << n) as f64;
-        let poles = TwoPoles { p1_hz: p1, p2_hz: p2 };
+        let poles = TwoPoles {
+            p1_hz: p1,
+            p2_hz: p2,
+        };
         let fast = settling_time_two_pole(&poles, n);
         let slow = settling_time_two_pole_bisect(&poles, n);
         let (t1, t2) = poles.taus();

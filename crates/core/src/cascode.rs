@@ -109,8 +109,7 @@ impl CascodeSpace {
     pub fn axis(&self) -> Vec<f64> {
         (0..self.grid)
             .map(|i| {
-                self.vov_min
-                    + (self.vov_max - self.vov_min) * i as f64 / (self.grid - 1) as f64
+                self.vov_min + (self.vov_max - self.vov_min) * i as f64 / (self.grid - 1) as f64
             })
             .collect()
     }
@@ -446,10 +445,7 @@ mod tests {
         let v_out_min = s.spec().env.v_out_min();
         for p in s.surface() {
             if let Some(cs) = p.max_vov_cs {
-                assert!(
-                    (cs + p.vov_sw + p.vov_cas - v_out_min).abs() < 1e-9,
-                    "{p}"
-                );
+                assert!((cs + p.vov_sw + p.vov_cas - v_out_min).abs() < 1e-9, "{p}");
             }
         }
     }

@@ -67,8 +67,8 @@ pub fn verify_corners_simple(
     ProcessCorner::ALL
         .iter()
         .map(|&corner| {
-            let sum = corner_overdrive(spec, corner, vov_cs)
-                + corner_overdrive(spec, corner, vov_sw);
+            let sum =
+                corner_overdrive(spec, corner, vov_cs) + corner_overdrive(spec, corner, vov_sw);
             CornerCheck {
                 corner,
                 vov_sum: sum,
@@ -150,12 +150,9 @@ mod tests {
         let vov_sw = cond.max_vov_sw(&spec, vov_cs).expect("feasible");
         let derating = corner_derating(&spec, cond, vov_cs, vov_sw);
         // Shrink both overdrives proportionally to absorb the derating.
-        let scale = (spec.env.v_out_min()
-            - cond.margin_simple(&spec, vov_cs, vov_sw)
-            - derating)
+        let scale = (spec.env.v_out_min() - cond.margin_simple(&spec, vov_cs, vov_sw) - derating)
             / (vov_cs + vov_sw);
-        let checks =
-            verify_corners_simple(&spec, cond, vov_cs * scale, vov_sw * scale);
+        let checks = verify_corners_simple(&spec, cond, vov_cs * scale, vov_sw * scale);
         assert!(
             checks.iter().all(|c| c.slack > -0.02),
             "derated design still fails: {checks:?}"

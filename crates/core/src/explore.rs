@@ -287,7 +287,6 @@ impl SweepStats {
         }
         self.dc_iterations as f64 / self.dc_solves as f64
     }
-
 }
 
 /// Flat struct-of-arrays storage of an evaluated sweep: one allocation per
@@ -375,7 +374,6 @@ impl DesignGrid {
     pub fn into_points(self) -> Vec<DesignPoint> {
         (0..self.len()).map(|i| self.point(i)).collect()
     }
-
 }
 
 /// Grid explorer over the simple-topology overdrive plane.
@@ -461,8 +459,7 @@ impl DesignSpace {
         }
         (0..self.grid)
             .map(|i| {
-                self.vov_min
-                    + (self.vov_max - self.vov_min) * i as f64 / (self.grid - 1) as f64
+                self.vov_min + (self.vov_max - self.vov_min) * i as f64 / (self.grid - 1) as f64
             })
             .collect()
     }
@@ -534,12 +531,7 @@ impl DesignSpace {
     /// per-point sizing/margin/bias recomputation, cold central-difference
     /// DC solve, fixed-depth bisection settling. Agrees with
     /// [`Self::evaluate_in`] to solver tolerance.
-    fn evaluate_reference(
-        &self,
-        vov_cs: f64,
-        vov_sw: f64,
-        stats: &mut SweepStats,
-    ) -> DesignPoint {
+    fn evaluate_reference(&self, vov_cs: f64, vov_sw: f64, stats: &mut SweepStats) -> DesignPoint {
         obs::incr(obs::Counter::SweepPoints);
         let spec = &self.spec;
         let admits = self.condition.admits_simple(spec, vov_cs, vov_sw);
@@ -776,7 +768,11 @@ impl DesignSpace {
                 Objective::MinArea => (-area, j, None),
                 _ if !kernel.admits(j) => continue,
                 _ => match kernel.chain(j).2 {
-                    Some(m) => (score(&kernel.point(j, true, Some(m)), objective), j, Some(m)),
+                    Some(m) => (
+                        score(&kernel.point(j, true, Some(m)), objective),
+                        j,
+                        Some(m),
+                    ),
                     // A failing chain can never win: it sorts last, and
                     // fails again (and is counted) if the visit reaches it.
                     None => (f64::NEG_INFINITY, j, None),
@@ -875,24 +871,18 @@ impl DesignSpace {
             chunks: axis.len() as u64,
             params: self.params_digest(),
         };
-        let out = run_journaled(
-            policy,
-            &meta,
-            decode_row,
-            encode_row,
-            |ctx| {
-                let vov_cs = axis[ctx.chunk as usize];
-                // The row kernel is shared with the sequential sweep and a
-                // row depends on nothing outside itself, so any job count
-                // produces identical bits. Per-row solver stats stay local:
-                // the journaled payload carries only the design points.
-                let mut row_stats = SweepStats::default();
-                let row = self.evaluate_row::<LANE_W>(vov_cs, &axis, &cols, &mut row_stats);
-                ctx.add_units(row.len() as u64);
-                check_row_areas(ctx, vov_cs, &axis, row.iter().map(|p| p.total_area))?;
-                Ok(row)
-            },
-        )?;
+        let out = run_journaled(policy, &meta, decode_row, encode_row, |ctx| {
+            let vov_cs = axis[ctx.chunk as usize];
+            // The row kernel is shared with the sequential sweep and a
+            // row depends on nothing outside itself, so any job count
+            // produces identical bits. Per-row solver stats stay local:
+            // the journaled payload carries only the design points.
+            let mut row_stats = SweepStats::default();
+            let row = self.evaluate_row::<LANE_W>(vov_cs, &axis, &cols, &mut row_stats);
+            ctx.add_units(row.len() as u64);
+            check_row_areas(ctx, vov_cs, &axis, row.iter().map(|p| p.total_area))?;
+            Ok(row)
+        })?;
         Ok(out.map(|rows| rows.into_iter().flatten().collect()))
     }
 
@@ -932,23 +922,17 @@ impl DesignSpace {
                 encode_f64(max_settling)
             ),
         };
-        let out = run_journaled(
-            policy,
-            &meta,
-            decode_row_best,
-            encode_row_best,
-            |ctx| {
-                let vov_cs = axis[ctx.chunk as usize];
-                let scan = self.scan_row(vov_cs, &axis, &cols, objective);
-                ctx.add_units(axis.len() as u64);
-                check_row_areas(ctx, vov_cs, &axis, scan.areas.iter().copied())?;
-                let row = scan.best(objective, max_settling);
-                if let Some(p) = &row.best {
-                    ctx.publish_gauge(score(p, objective), f64::max);
-                }
-                Ok(row)
-            },
-        )?;
+        let out = run_journaled(policy, &meta, decode_row_best, encode_row_best, |ctx| {
+            let vov_cs = axis[ctx.chunk as usize];
+            let scan = self.scan_row(vov_cs, &axis, &cols, objective);
+            ctx.add_units(axis.len() as u64);
+            check_row_areas(ctx, vov_cs, &axis, scan.areas.iter().copied())?;
+            let row = scan.best(objective, max_settling);
+            if let Some(p) = &row.best {
+                ctx.publish_gauge(score(p, objective), f64::max);
+            }
+            Ok(row)
+        })?;
         let best = self.verified_winner(&out.value, objective, axis.len())?;
         Ok(out.map(|_| best))
     }
@@ -1150,7 +1134,14 @@ impl<'a> RowKernel<'a> {
     /// [`closed_form_point`]); `admits` is [`Self::admits`] or known.
     fn point(&self, j: usize, admits: bool, metrics: Option<Metrics>) -> DesignPoint {
         let (vov_cs, vov_sw) = (self.unit.vov(), self.axis[j]);
-        closed_form_point(vov_cs, vov_sw, admits, self.has_bias(j), self.area(j), metrics)
+        closed_form_point(
+            vov_cs,
+            vov_sw,
+            admits,
+            self.has_bias(j),
+            self.area(j),
+            metrics,
+        )
     }
 }
 
@@ -1189,7 +1180,11 @@ impl RowScan<'_> {
                 None => self.kernel.chain(j).2,
             };
             // `select_best` on the single point applies its own rule.
-            match select_best([self.kernel.point(j, true, metrics)], objective, max_settling) {
+            match select_best(
+                [self.kernel.point(j, true, metrics)],
+                objective,
+                max_settling,
+            ) {
                 Ok(p) => {
                     return RowBest {
                         best: Some(p),
@@ -1216,7 +1211,10 @@ impl SwColumns {
     fn build(spec: &DacSpec, axis: &[f64]) -> Self {
         let unary_weight = spec.unary_weight();
         Self {
-            lsb: axis.iter().map(|&v| sized_sw_with_weight(spec, v, 1)).collect(),
+            lsb: axis
+                .iter()
+                .map(|&v| sized_sw_with_weight(spec, v, 1))
+                .collect(),
             unary: axis
                 .iter()
                 .map(|&v| sized_sw_with_weight(spec, v, unary_weight))
@@ -1236,7 +1234,10 @@ fn check_row_areas(
     let poisoned = ctx.injected_nan();
     for (j, area) in areas.enumerate() {
         if (poisoned && j == 0) || !area.is_finite() {
-            return Err(format!("non-finite area at ({vov_cs:.3} V, {:.3} V)", axis[j]));
+            return Err(format!(
+                "non-finite area at ({vov_cs:.3} V, {:.3} V)",
+                axis[j]
+            ));
         }
     }
     Ok(())
@@ -1394,7 +1395,11 @@ fn encode_row_best(row: &RowBest) -> String {
 
 fn decode_row_best(s: &str) -> Option<RowBest> {
     let (failed, best) = s.split_once(';')?;
-    let best = if best == "-" { None } else { Some(decode_point(best)?) };
+    let best = if best == "-" {
+        None
+    } else {
+        Some(decode_point(best)?)
+    };
     Some(RowBest {
         failed: failed.parse().ok()?,
         best,
@@ -1566,7 +1571,10 @@ mod tests {
     fn explore_error_display_is_one_line() {
         let e = ExploreError::EmptyFeasibleRegion { evaluated: 64 };
         assert!(!format!("{e}").contains('\n'));
-        let e = ExploreError::NumericalFailure { failed: 3, evaluated: 64 };
+        let e = ExploreError::NumericalFailure {
+            failed: 3,
+            evaluated: 64,
+        };
         let msg = format!("{e}");
         assert!(msg.contains('3') && msg.contains("64"), "{msg}");
     }
@@ -1634,7 +1642,11 @@ mod tests {
     #[test]
     fn design_point_codec_round_trips_bitwise() {
         let s = space(SaturationCondition::Statistical);
-        for p in [s.evaluate(0.3, 0.4), s.evaluate(1.5, 1.5), s.evaluate(0.05, 0.05)] {
+        for p in [
+            s.evaluate(0.3, 0.4),
+            s.evaluate(1.5, 1.5),
+            s.evaluate(0.05, 0.05),
+        ] {
             let enc = encode_point(&p);
             let back = decode_point(&enc).expect("decodes");
             assert_eq!(back, p);
@@ -1652,7 +1664,11 @@ mod tests {
             assert_eq!(decode_point(bad), None, "accepted {bad:?}");
         }
         let enc = encode_point(&s.evaluate(0.3, 0.4));
-        assert_eq!(decode_point(&format!("{enc}:00")), None, "extra field accepted");
+        assert_eq!(
+            decode_point(&format!("{enc}:00")),
+            None,
+            "extra field accepted"
+        );
         // Optimum journal rows: a winner plus a failure count, or none.
         for (best, failed) in [(Some(s.evaluate(0.3, 0.4)), 2), (None, 0)] {
             let back = decode_row_best(&encode_row_best(&RowBest { best, failed }));
@@ -1745,7 +1761,10 @@ mod tests {
         let s = space(SaturationCondition::Statistical);
         let p = s.evaluate(0.2, 0.3);
         assert!(p.feasible, "{p}");
-        assert!(p.dc_saturated, "devices should saturate well inside the region");
+        assert!(
+            p.dc_saturated,
+            "devices should saturate well inside the region"
+        );
         let i_unary = s.spec().i_unary();
         assert!(
             ((p.dc_i_out - i_unary) / i_unary).abs() < 0.3,

@@ -117,7 +117,11 @@ impl DesignReport {
         // Writing to a `String` cannot fail; the results are discarded.
         let _ = writeln!(s, "# Design report\n");
         let _ = writeln!(s, "* spec: {}", self.spec);
-        let _ = writeln!(s, "* topology: {} — {}", self.topology, self.topology_reason);
+        let _ = writeln!(
+            s,
+            "* topology: {} — {}",
+            self.topology, self.topology_reason
+        );
         let _ = writeln!(
             s,
             "* overdrives: CS {:.2} V, CAS {:.2} V, SW {:.2} V (margin {:.0} mV)",
@@ -328,11 +332,7 @@ pub fn run_flow_supervised(
                     SweepError::Runtime(e) => FlowError::Supervision(e),
                 })?;
             let p = out.value;
-            (
-                (p.vov_cs, 0.0, p.vov_sw),
-                p.total_area,
-                out.map(|_| ()),
-            )
+            ((p.vov_cs, 0.0, p.vov_sw), p.total_area, out.map(|_| ()))
         }
         CellTopology::Cascoded => {
             let space = CascodeSpace::new(spec, options.condition).with_grid(options.grid);
@@ -381,8 +381,8 @@ fn choose_topology(spec: &DacSpec, options: &FlowOptions) -> (CellTopology, Stri
             let probe = build_simple_cell(spec, 0.5, 0.6, 1);
             // A probe failure (no bias point in this environment) does not
             // abort the flow: the conservative cascoded topology is used.
-            let rout = ctsdac_circuit::impedance::rout_at_frequency(&probe, &spec.env, 1e6)
-                .unwrap_or(0.0);
+            let rout =
+                ctsdac_circuit::impedance::rout_at_frequency(&probe, &spec.env, 1e6).unwrap_or(0.0);
             if rout > rout_required {
                 (
                     CellTopology::Simple,
@@ -450,7 +450,9 @@ fn assemble_report(
         })?;
     if !poles.has_valid_taus() {
         return Err(FlowError::Numerical {
-            detail: format!("pole model of the sized unary cell: degenerate time constants ({poles})"),
+            detail: format!(
+                "pole model of the sized unary cell: degenerate time constants ({poles})"
+            ),
         });
     }
     let settling_s = settling_time_two_pole(&poles, spec.n_bits);
@@ -499,17 +501,32 @@ mod tests {
         };
         let report = run_flow(&spec, &options).expect("feasible");
         assert_eq!(report.topology, CellTopology::Cascoded);
-        assert!(report.meets_update_rate(400e6), "settling {:.2} ns", report.settling_s * 1e9);
+        assert!(
+            report.meets_update_rate(400e6),
+            "settling {:.2} ns",
+            report.settling_s * 1e9
+        );
         assert!(report.rout_dc * 16.0 > report.rout_required);
     }
 
     #[test]
     fn eight_bit_auto_flow_keeps_the_simple_cell() {
         let base = DacSpec::paper_12bit();
-        let spec = DacSpec::new(8, 3, 0.99, CellEnvironment::paper_12bit(), Technology::c035());
+        let spec = DacSpec::new(
+            8,
+            3,
+            0.99,
+            CellEnvironment::paper_12bit(),
+            Technology::c035(),
+        );
         let _ = base;
         let report = run_flow(&spec, &FlowOptions::default()).expect("feasible");
-        assert_eq!(report.topology, CellTopology::Simple, "{}", report.topology_reason);
+        assert_eq!(
+            report.topology,
+            CellTopology::Simple,
+            "{}",
+            report.topology_reason
+        );
     }
 
     #[test]
@@ -552,7 +569,11 @@ mod tests {
             DacSpec::new(12, 4, 0.997, env, Technology::c035())
         };
         let flow = |spec: &DacSpec, topology| {
-            let options = FlowOptions { topology, grid: 8, ..FlowOptions::default() };
+            let options = FlowOptions {
+                topology,
+                grid: 8,
+                ..FlowOptions::default()
+            };
             run_flow(spec, &options)
         };
         for c_load in [f64::NAN, f64::INFINITY] {
@@ -588,8 +609,14 @@ mod tests {
     #[test]
     fn report_markdown_is_complete() {
         let spec = DacSpec::paper_12bit();
-        let report = run_flow(&spec, &FlowOptions { grid: 8, ..Default::default() })
-            .expect("feasible");
+        let report = run_flow(
+            &spec,
+            &FlowOptions {
+                grid: 8,
+                ..Default::default()
+            },
+        )
+        .expect("feasible");
         let md = report.to_markdown();
         for needle in [
             "# Design report",
@@ -666,10 +693,12 @@ mod tests {
         assert_eq!(a.overdrives.0.to_bits(), e.overdrives.0.to_bits());
         assert_eq!(a.overdrives.2.to_bits(), e.overdrives.2.to_bits());
         assert_eq!(a.total_area.to_bits(), e.total_area.to_bits());
-        let sup = run_flow_supervised(&spec, &alias, &ExecPolicy::with_jobs(4))
-            .expect("feasible");
+        let sup = run_flow_supervised(&spec, &alias, &ExecPolicy::with_jobs(4)).expect("feasible");
         assert_eq!(sup.value.total_area.to_bits(), e.total_area.to_bits());
-        assert_eq!(sup.computed, exact.grid as u64, "the alias runs on the pool");
+        assert_eq!(
+            sup.computed, exact.grid as u64,
+            "the alias runs on the pool"
+        );
     }
 
     #[test]
@@ -681,8 +710,8 @@ mod tests {
             ..Default::default()
         };
         let seq = run_flow(&spec, &options).expect("feasible");
-        let sup = run_flow_supervised(&spec, &options, &ExecPolicy::with_jobs(4))
-            .expect("feasible");
+        let sup =
+            run_flow_supervised(&spec, &options, &ExecPolicy::with_jobs(4)).expect("feasible");
         assert_eq!(sup.value.total_area.to_bits(), seq.total_area.to_bits());
         assert_eq!(sup.computed + sup.restored, 0);
         assert!(sup.faults.is_empty());
@@ -703,10 +732,7 @@ mod tests {
             let err = run_flow_supervised(&spec, &options, &policy)
                 .expect_err("pre-cancelled token must abort");
             assert!(
-                matches!(
-                    err,
-                    FlowError::Supervision(RuntimeError::Cancelled { .. })
-                ),
+                matches!(err, FlowError::Supervision(RuntimeError::Cancelled { .. })),
                 "{err}"
             );
         }
@@ -715,7 +741,10 @@ mod tests {
         policy.pool.cancel = CancelToken::expiring_in(std::time::Duration::ZERO);
         let err = run_flow_supervised(
             &spec,
-            &FlowOptions { grid: 8, ..Default::default() },
+            &FlowOptions {
+                grid: 8,
+                ..Default::default()
+            },
             &policy,
         )
         .expect_err("expired deadline must abort");
@@ -725,8 +754,14 @@ mod tests {
     #[test]
     fn lsb_and_unary_cells_are_consistent() {
         let spec = DacSpec::paper_12bit();
-        let report = run_flow(&spec, &FlowOptions { grid: 8, ..Default::default() })
-            .expect("feasible");
+        let report = run_flow(
+            &spec,
+            &FlowOptions {
+                grid: 8,
+                ..Default::default()
+            },
+        )
+        .expect("feasible");
         let ratio = report.unary_cell.i_unit() / report.lsb_cell.i_unit();
         assert!((ratio - 16.0).abs() < 1e-9);
     }

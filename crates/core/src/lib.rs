@@ -49,9 +49,7 @@ pub mod spec;
 pub mod validate;
 
 pub use bounds::{BoundSigmas, CascodeBoundSigmas};
-pub use explore::{
-    DesignGrid, DesignPoint, DesignSpace, Objective, SweepMode, SweepStats,
-};
+pub use explore::{DesignGrid, DesignPoint, DesignSpace, Objective, SweepMode, SweepStats};
 pub use flow::{run_flow, DesignReport, FlowOptions, TopologyChoice};
 pub use report::ComparisonReport;
 pub use saturation::SaturationCondition;

@@ -66,11 +66,8 @@ impl ComparisonReport {
                 let stat = DesignSpace::new(spec, SaturationCondition::Statistical)
                     .with_grid(grid)
                     .optimize(Objective::MinArea)?;
-                let margin = SaturationCondition::Statistical.margin_simple(
-                    spec,
-                    stat.vov_cs,
-                    stat.vov_sw,
-                );
+                let margin =
+                    SaturationCondition::Statistical.margin_simple(spec, stat.vov_cs, stat.vov_sw);
                 Ok(Self {
                     topology,
                     legacy_overdrives: (legacy.vov_cs, 0.0, legacy.vov_sw),
@@ -189,35 +186,30 @@ mod tests {
 
     #[test]
     fn simple_report_shows_positive_saving() {
-        let report =
-            ComparisonReport::compute(&DacSpec::paper_12bit(), CellTopology::Simple, 20)
-                .expect("feasible");
-        assert!(
-            report.area_saving_fraction() > 0.0,
-            "no saving: {report}"
-        );
+        let report = ComparisonReport::compute(&DacSpec::paper_12bit(), CellTopology::Simple, 20)
+            .expect("feasible");
+        assert!(report.area_saving_fraction() > 0.0, "no saving: {report}");
         assert!(report.statistical_margin < 0.5);
     }
 
     #[test]
     fn cascoded_report_shows_positive_saving() {
-        let report =
-            ComparisonReport::compute(&DacSpec::paper_12bit(), CellTopology::Cascoded, 8)
-                .expect("feasible");
-        assert!(
-            report.area_saving_fraction() > 0.0,
-            "no saving: {report}"
-        );
+        let report = ComparisonReport::compute(&DacSpec::paper_12bit(), CellTopology::Cascoded, 8)
+            .expect("feasible");
+        assert!(report.area_saving_fraction() > 0.0, "no saving: {report}");
     }
 
     #[test]
     fn statistical_overdrives_exceed_legacy_sum() {
         // The recovered margin shows up as a larger admissible Vov sum.
         let r = ComparisonReport::compute(&DacSpec::paper_12bit(), CellTopology::Simple, 20)
-                .expect("feasible");
+            .expect("feasible");
         let legacy_sum = r.legacy_overdrives.0 + r.legacy_overdrives.2;
         let stat_sum = r.statistical_overdrives.0 + r.statistical_overdrives.2;
-        assert!(stat_sum > legacy_sum, "stat {stat_sum} <= legacy {legacy_sum}");
+        assert!(
+            stat_sum > legacy_sum,
+            "stat {stat_sum} <= legacy {legacy_sum}"
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! come from the optimum bias splitting the slack into two/three equal
 //! gaps, each of which must exceed `S·σ`.
 
-use crate::bounds::{cascoded_bound_sigmas, simple_bound_sigmas, simple_bound_sigmas_from_geometry};
+use crate::bounds::{
+    cascoded_bound_sigmas, simple_bound_sigmas, simple_bound_sigmas_from_geometry,
+};
 use crate::sizing::{build_cascoded_cell, build_simple_cell};
 use crate::spec::DacSpec;
 use core::fmt;
@@ -166,13 +168,7 @@ impl SaturationCondition {
     }
 
     /// Margin (V) for a *cascoded-topology* design point.
-    pub fn margin_cascoded(
-        &self,
-        spec: &DacSpec,
-        vov_cs: f64,
-        vov_cas: f64,
-        vov_sw: f64,
-    ) -> f64 {
+    pub fn margin_cascoded(&self, spec: &DacSpec, vov_cs: f64, vov_cas: f64, vov_sw: f64) -> f64 {
         self.margin_cascoded_with(spec, vov_cs, vov_cas, vov_sw, SigmaCombine::Max)
     }
 
@@ -196,13 +192,7 @@ impl SaturationCondition {
     }
 
     /// True if the cascoded overdrive triple satisfies eq. (11).
-    pub fn admits_cascoded(
-        &self,
-        spec: &DacSpec,
-        vov_cs: f64,
-        vov_cas: f64,
-        vov_sw: f64,
-    ) -> bool {
+    pub fn admits_cascoded(&self, spec: &DacSpec, vov_cs: f64, vov_cas: f64, vov_sw: f64) -> bool {
         CascodedMargin::of(*self, spec).admits(
             spec.env.v_out_min(),
             vov_cs,
@@ -347,14 +337,19 @@ mod tests {
         for vov_cs in [0.3, 0.6, 0.9] {
             for vov_sw in [0.3, 0.6, 0.9, 1.2] {
                 let legacy = SaturationCondition::legacy().admits_simple(&spec, vov_cs, vov_sw);
-                let stat =
-                    SaturationCondition::Statistical.admits_simple(&spec, vov_cs, vov_sw);
+                let stat = SaturationCondition::Statistical.admits_simple(&spec, vov_cs, vov_sw);
                 let exact = SaturationCondition::Exact.admits_simple(&spec, vov_cs, vov_sw);
                 if legacy {
-                    assert!(stat, "legacy admits ({vov_cs},{vov_sw}) but statistical rejects");
+                    assert!(
+                        stat,
+                        "legacy admits ({vov_cs},{vov_sw}) but statistical rejects"
+                    );
                 }
                 if stat {
-                    assert!(exact, "statistical admits ({vov_cs},{vov_sw}) but exact rejects");
+                    assert!(
+                        exact,
+                        "statistical admits ({vov_cs},{vov_sw}) but exact rejects"
+                    );
                 }
             }
         }
@@ -415,18 +410,10 @@ mod tests {
     #[test]
     fn rss_combination_is_more_conservative() {
         let spec = DacSpec::paper_12bit();
-        let max = SaturationCondition::Statistical.margin_simple_with(
-            &spec,
-            0.5,
-            0.6,
-            SigmaCombine::Max,
-        );
-        let rss = SaturationCondition::Statistical.margin_simple_with(
-            &spec,
-            0.5,
-            0.6,
-            SigmaCombine::Rss,
-        );
+        let max =
+            SaturationCondition::Statistical.margin_simple_with(&spec, 0.5, 0.6, SigmaCombine::Max);
+        let rss =
+            SaturationCondition::Statistical.margin_simple_with(&spec, 0.5, 0.6, SigmaCombine::Rss);
         assert!(rss >= max);
     }
 

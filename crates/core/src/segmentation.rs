@@ -66,8 +66,7 @@ impl SegmentationPoint {
             w_glitch.is_finite() && w_glitch >= 0.0,
             "invalid glitch weight {w_glitch}"
         );
-        let full_unary_digital =
-            ((1u64 << n_bits) - 1) as f64 * DIGITAL_AREA_PER_UNARY_CELL;
+        let full_unary_digital = ((1u64 << n_bits) - 1) as f64 * DIGITAL_AREA_PER_UNARY_CELL;
         // Both area terms share one normalisation so the (constant) analog
         // floor does not bias the optimum but the DNL penalty at large b
         // still registers.
@@ -127,7 +126,13 @@ pub fn evaluate_segmentation(
         "binary bits {binary_bits} exceed resolution {}",
         spec.n_bits
     );
-    let seg_spec = DacSpec::new(spec.n_bits, binary_bits, spec.inl_yield, spec.env, spec.tech);
+    let seg_spec = DacSpec::new(
+        spec.n_bits,
+        binary_bits,
+        spec.inl_yield,
+        spec.env,
+        spec.tech,
+    );
 
     // Analog area: the INL spec is segmentation-independent, but the DNL
     // spec (worst at the unary/binary carry, √(2^{b+1}) units toggle) can
@@ -140,8 +145,8 @@ pub fn evaluate_segmentation(
     let analog_area = base * (sigma_inl / sigma).powi(2);
 
     let n_unary = seg_spec.unary_source_count() as f64;
-    let digital_area = n_unary * DIGITAL_AREA_PER_UNARY_CELL
-        + binary_bits as f64 * DIGITAL_AREA_PER_BINARY_BIT;
+    let digital_area =
+        n_unary * DIGITAL_AREA_PER_UNARY_CELL + binary_bits as f64 * DIGITAL_AREA_PER_BINARY_BIT;
 
     SegmentationPoint {
         binary_bits,

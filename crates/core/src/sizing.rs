@@ -308,12 +308,7 @@ pub fn total_analog_area_simple(spec: &DacSpec, vov_cs: f64, vov_sw: f64) -> f64
 }
 
 /// Total analog gate area for a cascoded-topology sizing.
-pub fn total_analog_area_cascoded(
-    spec: &DacSpec,
-    vov_cs: f64,
-    vov_cas: f64,
-    vov_sw: f64,
-) -> f64 {
+pub fn total_analog_area_cascoded(spec: &DacSpec, vov_cs: f64, vov_cas: f64, vov_sw: f64) -> f64 {
     let lsb_cell = build_cascoded_cell(spec, vov_cs, vov_cas, vov_sw, 1);
     let units = (spec.lsb_unit_count() - 1) as f64;
     units * lsb_cell.total_area()
@@ -407,8 +402,7 @@ mod tests {
             let lsb = build_simple_cell(&spec, vov_cs, vov_sw, 1);
             assert_eq!(
                 total_analog_area_from_lsb(&spec, &lsb).to_bits(),
-                total_analog_area_from_geometry(&spec, lsb.cs().area(), lsb.sw().area())
-                    .to_bits(),
+                total_analog_area_from_geometry(&spec, lsb.cs().area(), lsb.sw().area()).to_bits(),
             );
         }
     }

@@ -71,7 +71,10 @@ impl DacSpec {
         env: CellEnvironment,
         tech: Technology,
     ) -> Self {
-        assert!((1..=24).contains(&n_bits), "unsupported resolution {n_bits}");
+        assert!(
+            (1..=24).contains(&n_bits),
+            "unsupported resolution {n_bits}"
+        );
         assert!(
             binary_bits <= n_bits,
             "binary bits {binary_bits} exceed resolution {n_bits}"

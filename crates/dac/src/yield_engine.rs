@@ -250,8 +250,13 @@ impl<'a> YieldEngine<'a> {
     /// Infallible constructor for pre-validated inputs (per-chunk engine
     /// builds inside the supervised driver).
     fn build(dac: &'a SegmentedDac, sigma_unit: f64, limits: YieldLimits) -> Self {
-        let unary_cells: Vec<usize> = (0..dac.n_unary()).map(|r| dac.unary_cell_at_rank(r)).collect();
-        let unary_w: Vec<f64> = unary_cells.iter().map(|&c| dac.weights()[c] as f64).collect();
+        let unary_cells: Vec<usize> = (0..dac.n_unary())
+            .map(|r| dac.unary_cell_at_rank(r))
+            .collect();
+        let unary_w: Vec<f64> = unary_cells
+            .iter()
+            .map(|&c| dac.weights()[c] as f64)
+            .collect();
         Self {
             dac,
             sigma_unit,
@@ -932,7 +937,11 @@ mod tests {
             let mut rng = seeded_rng(91);
             for (trial, flags) in screened.iter().enumerate() {
                 let exact = engine.trial(YieldMode::Reference, &mut rng);
-                assert_eq!(*flags, exact.flags(&limits), "sigma mult {mult}, trial {trial}");
+                assert_eq!(
+                    *flags,
+                    exact.flags(&limits),
+                    "sigma mult {mult}, trial {trial}"
+                );
             }
         }
     }
@@ -961,8 +970,7 @@ mod tests {
     fn reference_over_chunks(dac: &SegmentedDac, sigma: f64, plan: &McPlan) -> FusedYields {
         let mut counts = [0u64; 3];
         for chunk in 0..plan.chunks() {
-            let mut engine =
-                YieldEngine::new(dac, sigma, YieldLimits::half_lsb()).expect("engine");
+            let mut engine = YieldEngine::new(dac, sigma, YieldLimits::half_lsb()).expect("engine");
             let mut rng = stream_rng(plan.seed, chunk);
             for _ in 0..plan.chunk_len(chunk) {
                 let flags = engine.trial_flags(YieldMode::Reference, &mut rng);
@@ -1034,20 +1042,30 @@ mod tests {
             .expect("reference");
 
         let mut lanes1 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let out1 = lanes1.run_lanes::<1, _>(257, &mut seeded_rng(31)).expect("lanes1");
+        let out1 = lanes1
+            .run_lanes::<1, _>(257, &mut seeded_rng(31))
+            .expect("lanes1");
         assert_eq!(out1, reference);
 
         let mut lanes4 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let out4 = lanes4.run_lanes::<4, _>(257, &mut seeded_rng(31)).expect("lanes4");
+        let out4 = lanes4
+            .run_lanes::<4, _>(257, &mut seeded_rng(31))
+            .expect("lanes4");
         assert_eq!(out4, reference);
 
         let mut lanes8 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let out8 = lanes8.run_lanes::<8, _>(257, &mut seeded_rng(31)).expect("lanes8");
+        let out8 = lanes8
+            .run_lanes::<8, _>(257, &mut seeded_rng(31))
+            .expect("lanes8");
         assert_eq!(out8, reference);
 
         // Work counters are lane-width-invariant: identical trial,
         // code-scan and fallback totals at W = 1, 4 and 8.
-        let counters = (lanes1.trials_run(), lanes1.codes_scanned(), lanes1.fallbacks());
+        let counters = (
+            lanes1.trials_run(),
+            lanes1.codes_scanned(),
+            lanes1.fallbacks(),
+        );
         assert_eq!(counters.0, 257);
         for e in [&lanes4, &lanes8] {
             assert_eq!((e.trials_run(), e.codes_scanned(), e.fallbacks()), counters);
@@ -1115,7 +1133,10 @@ mod tests {
             );
             per_width.push((lanes.trials_run(), lanes.codes_scanned(), lanes.fallbacks()));
         }
-        assert_eq!(per_width[0], per_width[1], "counters differ between W = 4 and 8");
+        assert_eq!(
+            per_width[0], per_width[1],
+            "counters differ between W = 4 and 8"
+        );
     }
 
     #[test]

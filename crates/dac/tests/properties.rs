@@ -170,7 +170,13 @@ fn glitch_energy_is_non_negative() {
     for _ in 0..24 {
         let n = rng.gen_range(6u32..11);
         let b = rng.gen_range(1u32..5).min(n - 1);
-        let spec = DacSpec::new(n, b, 0.99, CellEnvironment::paper_12bit(), Technology::c035());
+        let spec = DacSpec::new(
+            n,
+            b,
+            0.99,
+            CellEnvironment::paper_12bit(),
+            Technology::c035(),
+        );
         let dac = SegmentedDac::new(&spec);
         let errors = CellErrors::ideal(&dac);
         let skew = rng.gen_range(0.0..0.5e-9);
@@ -292,8 +298,10 @@ fn lane_draws_round_trip_the_soa_transpose_bitwise() {
         let seed = rng.gen_range(0u64..1 << 32);
 
         let mut scalar = arb_engine(&mut rng, &dac);
-        let mut lanes4 = YieldEngine::new(&dac, scalar.sigma_unit(), *scalar.limits()).expect("engine");
-        let mut lanes8 = YieldEngine::new(&dac, scalar.sigma_unit(), *scalar.limits()).expect("engine");
+        let mut lanes4 =
+            YieldEngine::new(&dac, scalar.sigma_unit(), *scalar.limits()).expect("engine");
+        let mut lanes8 =
+            YieldEngine::new(&dac, scalar.sigma_unit(), *scalar.limits()).expect("engine");
 
         let mut rng_s = seeded_rng(seed);
         let reference: Vec<[bool; 3]> = (0..trials)
@@ -308,8 +316,16 @@ fn lane_draws_round_trip_the_soa_transpose_bitwise() {
         assert_eq!(flags8, reference, "{trials} trials, seed {seed}, {spec:?}");
         // RNG position: the next raw output must agree across all paths.
         let probe = rng_s.next_u64();
-        assert_eq!(rng_4.next_u64(), probe, "lanes<4> rng drift at {trials} trials");
-        assert_eq!(rng_8.next_u64(), probe, "lanes<8> rng drift at {trials} trials");
+        assert_eq!(
+            rng_4.next_u64(),
+            probe,
+            "lanes<4> rng drift at {trials} trials"
+        );
+        assert_eq!(
+            rng_8.next_u64(),
+            probe,
+            "lanes<8> rng drift at {trials} trials"
+        );
     }
 }
 
@@ -396,7 +412,10 @@ fn limit_grazing_trials_fall_back_identically_at_random_grazing_points() {
             } else {
                 lanes.flags_lanes::<8, _>(trials, &mut rng_l)
             };
-            assert_eq!(flags, exact_flags, "grazed trial {grazed} of {trials}, seed {seed}");
+            assert_eq!(
+                flags, exact_flags,
+                "grazed trial {grazed} of {trials}, seed {seed}"
+            );
             // The INL screen is re-associated arithmetic, so its band
             // always covers the exact value and a grazing limit must trip
             // the fallback. The DNL screen's boundary-code term is
@@ -405,10 +424,16 @@ fn limit_grazing_trials_fall_back_identically_at_random_grazing_points() {
             // fallback, so for DNL the invariant under test is only the
             // agreement with the Reference chain above.
             if graze_inl {
-                assert!(lanes.fallbacks() >= 1, "grazing INL limit never tripped the screen");
+                assert!(
+                    lanes.fallbacks() >= 1,
+                    "grazing INL limit never tripped the screen"
+                );
             }
             counters.push((lanes.trials_run(), lanes.codes_scanned(), lanes.fallbacks()));
         }
-        assert_eq!(counters[0], counters[1], "counters diverged between W = 4 and 8");
+        assert_eq!(
+            counters[0], counters[1],
+            "counters diverged between W = 4 and 8"
+        );
     }
 }

@@ -28,7 +28,10 @@ use crate::complex::Complex;
 /// ```
 pub fn fft(data: &mut [Complex]) {
     let n = data.len();
-    assert!(n.is_power_of_two() && n > 0, "FFT length {n} must be a power of two");
+    assert!(
+        n.is_power_of_two() && n > 0,
+        "FFT length {n} must be a power of two"
+    );
     bit_reverse_permute(data);
     let mut len = 2;
     while len <= n {
@@ -108,7 +111,10 @@ pub fn fft_real(samples: &[f64]) -> Vec<Complex> {
 /// Panics if `samples.len()` is not a power of two.
 pub fn fft_real_into(samples: &[f64], out: &mut Vec<Complex>) {
     let n = samples.len();
-    assert!(n.is_power_of_two() && n > 0, "FFT length {n} must be a power of two");
+    assert!(
+        n.is_power_of_two() && n > 0,
+        "FFT length {n} must be a power of two"
+    );
     out.clear();
     if n == 1 {
         out.push(Complex::real(samples[0]));
@@ -326,7 +332,9 @@ mod tests {
     #[test]
     fn real_spectrum_is_conjugate_symmetric() {
         let n = 128;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos() * (i as f64 * 0.05).sin()).collect();
+        let x: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.29).cos() * (i as f64 * 0.05).sin())
+            .collect();
         let spec = fft_real(&x);
         assert!(spec[0].im.abs() < 1e-10);
         assert!(spec[n / 2].im.abs() < 1e-10);

@@ -92,7 +92,11 @@ pub fn coherent_frequency(fs: f64, f_target: f64, n: usize) -> (usize, f64) {
     let mut k = ideal.round() as usize;
     if k.is_multiple_of(2) {
         // Move to the nearer odd neighbour.
-        k = if ideal >= k as f64 { k + 1 } else { k.saturating_sub(1) };
+        k = if ideal >= k as f64 {
+            k + 1
+        } else {
+            k.saturating_sub(1)
+        };
     }
     let k = k.clamp(1, n / 2 - 1);
     (k, k as f64 * fs / n as f64)
@@ -460,8 +464,7 @@ mod tests {
         let mut sampler = NormalSampler::new();
         let x: Vec<f64> = (0..n)
             .map(|i| {
-                (2.0 * PI * 101.0 * i as f64 / n as f64).sin()
-                    + sigma * sampler.sample(&mut rng)
+                (2.0 * PI * 101.0 * i as f64 / n as f64).sin() + sigma * sampler.sample(&mut rng)
             })
             .collect();
         let s = Spectrum::analyze(&x, 1.0);
@@ -568,8 +571,7 @@ mod tests {
         // Coherent-per-segment tone: 16 cycles per 512-sample segment.
         let x: Vec<f64> = (0..8192)
             .map(|i| {
-                0.2 * (2.0 * PI * 16.0 * i as f64 / 512.0).sin()
-                    + 0.5 * sampler.sample(&mut rng)
+                0.2 * (2.0 * PI * 16.0 * i as f64 / 512.0).sin() + 0.5 * sampler.sample(&mut rng)
             })
             .collect();
         let psd = welch(&x, 512, Window::Hann);

@@ -44,8 +44,7 @@ impl Window {
             Window::Hamming => 0.54 - 0.46 * x.cos(),
             Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
             Window::BlackmanHarris => {
-                0.35875 - 0.48829 * x.cos() + 0.14128 * (2.0 * x).cos()
-                    - 0.01168 * (3.0 * x).cos()
+                0.35875 - 0.48829 * x.cos() + 0.14128 * (2.0 * x).cos() - 0.01168 * (3.0 * x).cos()
             }
         }
     }

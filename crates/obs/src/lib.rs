@@ -60,7 +60,11 @@ pub enum TraceMode {
 pub fn set_metrics(on: bool) {
     let mut s = STATE.load(Ordering::Relaxed);
     loop {
-        let next = if on { s | METRICS_BIT } else { s & !METRICS_BIT };
+        let next = if on {
+            s | METRICS_BIT
+        } else {
+            s & !METRICS_BIT
+        };
         match STATE.compare_exchange_weak(s, next, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => return,
             Err(cur) => s = cur,
@@ -413,7 +417,9 @@ static SPAN_STATS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap
 fn span_stats_lock() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, SpanStat>> {
     // A worker panic while holding the lock poisons it; the map is
     // plain-old-data, so recover the guard instead of propagating.
-    SPAN_STATS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    SPAN_STATS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 thread_local! {
@@ -439,7 +445,11 @@ pub struct SpanGuard {
 pub fn span(name: &'static str) -> SpanGuard {
     let state = STATE.load(Ordering::Relaxed);
     if state == 0 {
-        return SpanGuard { name, start: None, depth: 0 };
+        return SpanGuard {
+            name,
+            start: None,
+            depth: 0,
+        };
     }
     let depth = DEPTH.with(|d| {
         let v = d.get();
@@ -455,7 +465,11 @@ pub fn span(name: &'static str) -> SpanGuard {
         }
         None => {}
     }
-    SpanGuard { name, start: Some(Instant::now()), depth }
+    SpanGuard {
+        name,
+        start: Some(Instant::now()),
+        depth,
+    }
 }
 
 impl Drop for SpanGuard {
@@ -556,7 +570,10 @@ pub fn snapshot() -> String {
             )
         })
         .collect();
-    nondet.push(format!("    \"spans\": [\n{}\n    ]", span_rows.join(",\n")));
+    nondet.push(format!(
+        "    \"spans\": [\n{}\n    ]",
+        span_rows.join(",\n")
+    ));
     out.push_str(&nondet.join(",\n"));
     out.push_str("\n  }\n}\n");
     out
@@ -687,7 +704,11 @@ mod tests {
         let b = snapshot();
         assert_eq!(a, b, "snapshot must be a pure function of the registry");
         for c in Counter::ALL {
-            assert!(a.contains(&format!("\"{}\":", c.name())), "missing {}", c.name());
+            assert!(
+                a.contains(&format!("\"{}\":", c.name())),
+                "missing {}",
+                c.name()
+            );
         }
         assert!(a.contains("\"circuit.dc.solves\": 11"));
         assert!(a.contains("\"pool.chunks\": 4"));
@@ -717,7 +738,10 @@ mod tests {
                 assert!(nondet.contains(&key), "{} missing from nondet", c.name());
             }
         }
-        assert!(!det.contains("_ns"), "no wall-clock values in the deterministic section");
+        assert!(
+            !det.contains("_ns"),
+            "no wall-clock values in the deterministic section"
+        );
         assert!(nondet.contains("\"spans\": ["));
         set_metrics(false);
     }

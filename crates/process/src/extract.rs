@@ -67,7 +67,10 @@ impl fmt::Display for ExtractPelgromError {
         match self {
             ExtractPelgromError::TooFewSamples => write!(f, "need at least two samples"),
             ExtractPelgromError::Degenerate => {
-                write!(f, "samples cannot separate A_VT from A_beta (vary the overdrive)")
+                write!(
+                    f,
+                    "samples cannot separate A_VT from A_beta (vary the overdrive)"
+                )
             }
             ExtractPelgromError::NegativeVariance => {
                 write!(f, "fit produced a negative squared matching constant")

@@ -14,8 +14,8 @@
 //! that fully determine the CS transistor.
 
 use crate::technology::DeviceParams;
-use ctsdac_stats::NormalSampler;
 use ctsdac_stats::rng::Rng;
+use ctsdac_stats::NormalSampler;
 
 /// Pelgrom mismatch calculator for one device flavour.
 ///
@@ -51,7 +51,10 @@ impl Pelgrom {
     /// Panics if either constant is negative or non-finite.
     pub fn from_constants(a_vt: f64, a_beta: f64) -> Self {
         assert!(a_vt.is_finite() && a_vt >= 0.0, "invalid A_VT {a_vt}");
-        assert!(a_beta.is_finite() && a_beta >= 0.0, "invalid A_beta {a_beta}");
+        assert!(
+            a_beta.is_finite() && a_beta >= 0.0,
+            "invalid A_beta {a_beta}"
+        );
         Self { a_vt, a_beta }
     }
 

@@ -151,7 +151,10 @@ impl Technology {
     /// Panics if either constant is negative or non-finite.
     pub fn with_nmos_matching(mut self, a_vt: f64, a_beta: f64) -> Self {
         assert!(a_vt.is_finite() && a_vt >= 0.0, "invalid A_VT {a_vt}");
-        assert!(a_beta.is_finite() && a_beta >= 0.0, "invalid A_beta {a_beta}");
+        assert!(
+            a_beta.is_finite() && a_beta >= 0.0,
+            "invalid A_beta {a_beta}"
+        );
         self.nmos.a_vt = a_vt;
         self.nmos.a_beta = a_beta;
         self

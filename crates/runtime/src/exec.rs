@@ -122,7 +122,11 @@ where
             let (journal, raw, load) = if policy.resume {
                 Journal::resume(path, meta)?
             } else {
-                (Journal::create(path, meta)?, BTreeMap::new(), LoadReport::default())
+                (
+                    Journal::create(path, meta)?,
+                    BTreeMap::new(),
+                    LoadReport::default(),
+                )
             };
             dropped += load.dropped;
             let mut decoded = BTreeMap::new();
@@ -142,13 +146,19 @@ where
     obs::count(obs::Counter::CheckpointDropped, dropped);
     obs::count(obs::Counter::CheckpointRestored, restored.len() as u64);
 
-    let report = run_chunks(&policy.pool, meta.chunks, restored, worker, |chunk, value| {
-        if let Some(journal) = journal.as_mut() {
-            journal.append(chunk, &encode(value))?;
-            obs::incr(obs::Counter::CheckpointFlushes);
-        }
-        Ok(())
-    })?;
+    let report = run_chunks(
+        &policy.pool,
+        meta.chunks,
+        restored,
+        worker,
+        |chunk, value| {
+            if let Some(journal) = journal.as_mut() {
+                journal.append(chunk, &encode(value))?;
+                obs::incr(obs::Counter::CheckpointFlushes);
+            }
+            Ok(())
+        },
+    )?;
 
     Ok(Supervised {
         value: report.results,
@@ -162,7 +172,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{encode_f64, decode_f64, truncate_tail};
+    use crate::journal::{decode_f64, encode_f64, truncate_tail};
     use ctsdac_failpoint::Registry;
     use std::path::Path;
 
@@ -233,8 +243,8 @@ mod tests {
         let clean = run(&ExecPolicy::sequential(), 8).expect("baseline");
         run(&ExecPolicy::sequential().checkpoint_at(&path), 8).expect("journaled");
         truncate_tail(&path, 7).expect("corrupt the tail");
-        let resumed = run(&ExecPolicy::with_jobs(4).checkpoint_at(&path).resuming(), 8)
-            .expect("resume");
+        let resumed =
+            run(&ExecPolicy::with_jobs(4).checkpoint_at(&path).resuming(), 8).expect("resume");
         assert!(resumed.dropped >= 1);
         assert!(resumed.restored < 8);
         assert_eq!(resumed.restored + resumed.computed, 8);
@@ -270,8 +280,8 @@ mod tests {
         let mut lines: Vec<String> = text.lines().map(String::from).collect();
         lines[2] = "{\"chunk\":1,\"data\":\"not-a-float\"}".into();
         std::fs::write(&path, lines.join("\n") + "\n").expect("write");
-        let resumed = run(&ExecPolicy::sequential().checkpoint_at(&path).resuming(), 4)
-            .expect("resume");
+        let resumed =
+            run(&ExecPolicy::sequential().checkpoint_at(&path).resuming(), 4).expect("resume");
         assert_eq!(resumed.dropped, 1);
         assert_eq!(resumed.restored, 3);
         assert_eq!(resumed.computed, 1);

@@ -241,10 +241,7 @@ impl Journal {
     ///
     /// [`JournalError::Io`] on any filesystem failure.
     pub fn append(&mut self, chunk: u64, data: &str) -> Result<(), JournalError> {
-        let line = format!(
-            "{{\"chunk\":{chunk},\"data\":\"{}\"}}",
-            escape_json(data)
-        );
+        let line = format!("{{\"chunk\":{chunk},\"data\":\"{}\"}}", escape_json(data));
         self.write_line(&line)
     }
 
@@ -512,10 +509,17 @@ mod tests {
         {
             let mut j = Journal::create(&path, &meta()).expect("create");
             j.append(0, "a:1").expect("append");
-            j.append(3, "weird \"quoted\" \\ payload\nline2").expect("append");
+            j.append(3, "weird \"quoted\" \\ payload\nline2")
+                .expect("append");
         }
         let (_, entries, report) = Journal::resume(&path, &meta()).expect("resume");
-        assert_eq!(report, LoadReport { entries: 2, dropped: 0 });
+        assert_eq!(
+            report,
+            LoadReport {
+                entries: 2,
+                dropped: 0
+            }
+        );
         assert_eq!(entries.get(&0).map(String::as_str), Some("a:1"));
         assert_eq!(
             entries.get(&3).map(String::as_str),
@@ -546,7 +550,13 @@ mod tests {
         // Simulate a crash mid-append: chop into the final line.
         truncate_tail(&path, 5).expect("truncate");
         let (_, entries, report) = Journal::resume(&path, &meta()).expect("resume");
-        assert_eq!(report, LoadReport { entries: 1, dropped: 1 });
+        assert_eq!(
+            report,
+            LoadReport {
+                entries: 1,
+                dropped: 1
+            }
+        );
         assert_eq!(entries.get(&0).map(String::as_str), Some("zero"));
         assert!(!entries.contains_key(&1));
         std::fs::remove_file(&path).ok();
@@ -568,11 +578,14 @@ mod tests {
         // A second resume sees chunks 0 and 2 cleanly; the torn line for
         // chunk 1 is gone, not interleaved.
         let (_, entries, report) = Journal::resume(&path, &meta()).expect("resume");
-        assert_eq!(report, LoadReport { entries: 2, dropped: 0 });
         assert_eq!(
-            entries.keys().copied().collect::<Vec<_>>(),
-            vec![0, 2]
+            report,
+            LoadReport {
+                entries: 2,
+                dropped: 0
+            }
         );
+        assert_eq!(entries.keys().copied().collect::<Vec<_>>(), vec![0, 2]);
         std::fs::remove_file(&path).ok();
     }
 

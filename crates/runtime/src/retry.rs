@@ -91,11 +91,7 @@ impl RetryPolicy {
     /// run (a chunk retries at most `retries` times), long enough to
     /// desynchronise a wave of faulting workers.
     pub fn default_backoff() -> Self {
-        Self::jittered(
-            Duration::from_millis(2),
-            4.0,
-            Duration::from_millis(100),
-        )
+        Self::jittered(Duration::from_millis(2), 4.0, Duration::from_millis(100))
     }
 
     /// Re-seeds the jitter hash.
@@ -169,11 +165,8 @@ mod tests {
 
     #[test]
     fn nominal_delays_grow_exponentially_and_cap() {
-        let mut p = RetryPolicy::jittered(
-            Duration::from_millis(10),
-            2.0,
-            Duration::from_millis(40),
-        );
+        let mut p =
+            RetryPolicy::jittered(Duration::from_millis(10), 2.0, Duration::from_millis(40));
         p.jitter = 0.0; // isolate the nominal schedule
         assert_eq!(p.delay_for(0, 1), Duration::from_millis(10));
         assert_eq!(p.delay_for(0, 2), Duration::from_millis(20));
@@ -189,8 +182,7 @@ mod tests {
         for stream in 0..20u64 {
             for attempt in 1..5u32 {
                 let d = p.delay_for(stream, attempt);
-                let nominal = p.base.as_secs_f64()
-                    * p.factor.powi((attempt - 1) as i32);
+                let nominal = p.base.as_secs_f64() * p.factor.powi((attempt - 1) as i32);
                 let nominal = nominal.min(p.max.as_secs_f64());
                 let lo = nominal * (1.0 - p.jitter) - 1e-9;
                 let hi = nominal + 1e-9;

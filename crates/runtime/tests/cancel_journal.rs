@@ -107,7 +107,10 @@ fn post_cancel_completion_is_not_observed() {
             Ok(value_of(ctx.chunk))
         },
         |chunk, _value| {
-            observed.lock().unwrap_or_else(|e| e.into_inner()).push(chunk);
+            observed
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(chunk);
             observed_count.fetch_add(1, Ordering::SeqCst);
             Ok(())
         },

@@ -8,9 +8,9 @@
 //! lost, and assemble a result bit-identical to an uninterrupted run.
 
 use ctsdac_runtime::exec::{run_journaled, ExecPolicy, Supervised};
-use ctsdac_runtime::truncate_tail;
 use ctsdac_runtime::journal::{decode_f64, encode_f64, JournalMeta};
 use ctsdac_runtime::pool::{ChunkCtx, RuntimeError};
+use ctsdac_runtime::truncate_tail;
 use std::path::{Path, PathBuf};
 
 const CHUNKS: u64 = 6;
@@ -31,7 +31,13 @@ fn worker(ctx: &ChunkCtx<'_>) -> Result<f64, String> {
 }
 
 fn run(policy: &ExecPolicy) -> Result<Supervised<Vec<f64>>, RuntimeError> {
-    run_journaled(policy, &meta(), |s| decode_f64(s), |v| encode_f64(*v), worker)
+    run_journaled(
+        policy,
+        &meta(),
+        |s| decode_f64(s),
+        |v| encode_f64(*v),
+        worker,
+    )
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -131,11 +137,11 @@ fn repaired_journal_restores_fully_on_the_next_resume() {
     cleanup(&path);
     run(&ExecPolicy::sequential().checkpoint_at(&path)).expect("journaled");
     truncate_tail(&path, 3).expect("truncate");
-    let first = run(&ExecPolicy::sequential().checkpoint_at(&path).resuming())
-        .expect("first resume");
+    let first =
+        run(&ExecPolicy::sequential().checkpoint_at(&path).resuming()).expect("first resume");
     assert_eq!(first.computed, 1);
-    let second = run(&ExecPolicy::sequential().checkpoint_at(&path).resuming())
-        .expect("second resume");
+    let second =
+        run(&ExecPolicy::sequential().checkpoint_at(&path).resuming()).expect("second resume");
     assert_eq!(second.restored, CHUNKS);
     assert_eq!(second.computed, 0);
     assert_eq!(bits(&second.value), bits(&first.value));

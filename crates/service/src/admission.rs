@@ -221,7 +221,10 @@ mod tests {
         let t1 = t0 + Duration::from_millis(200);
         assert!(adm.admit("a", t1).is_ok());
         assert!(adm.admit("a", t1).is_ok());
-        assert_eq!(adm.admit("a", t1).expect_err("drained").kind, ErrorKind::Shed);
+        assert_eq!(
+            adm.admit("a", t1).expect_err("drained").kind,
+            ErrorKind::Shed
+        );
     }
 
     #[test]

@@ -293,8 +293,14 @@ mod tests {
         let t1 = t0 + Duration::from_millis(110);
         let probe = b.check(t1).expect("probe admitted");
         probe.on_failure(t1); // trip 2: open 200 ms
-        assert!(b.is_open(t1 + Duration::from_millis(150)), "still open at +150 ms");
-        assert!(!b.is_open(t1 + Duration::from_millis(210)), "expired at +210 ms");
+        assert!(
+            b.is_open(t1 + Duration::from_millis(150)),
+            "still open at +150 ms"
+        );
+        assert!(
+            !b.is_open(t1 + Duration::from_millis(210)),
+            "expired at +210 ms"
+        );
     }
 
     #[test]

@@ -182,14 +182,16 @@ fn render_point(p: &DesignPoint) -> String {
 
 fn render_sweep(points: &[DesignPoint]) -> String {
     let feasible: Vec<&DesignPoint> = points.iter().filter(|p| p.feasible).collect();
-    let best_area = feasible
-        .iter()
-        .copied()
-        .reduce(|a, b| if b.total_area < a.total_area { b } else { a });
-    let best_speed = feasible
-        .iter()
-        .copied()
-        .reduce(|a, b| if b.min_pole_hz > a.min_pole_hz { b } else { a });
+    let best_area =
+        feasible
+            .iter()
+            .copied()
+            .reduce(|a, b| if b.total_area < a.total_area { b } else { a });
+    let best_speed =
+        feasible
+            .iter()
+            .copied()
+            .reduce(|a, b| if b.min_pole_hz > a.min_pole_hz { b } else { a });
     let opt = |p: Option<&DesignPoint>| p.map_or_else(|| "null".to_string(), render_point);
     format!(
         "{{\"evaluated\":{},\"feasible\":{},\"best_area\":{},\"best_speed\":{}}}",
@@ -254,7 +256,9 @@ mod tests {
         let vov_sw = extract(&point, "\"vov_sw\":");
         let yreq = parse_request(
             Mode::Yield,
-            &format!("{{\"vov_cs\":{vov_cs},\"vov_sw\":{vov_sw},\"trials\":500,\"chunk_trials\":250}}"),
+            &format!(
+                "{{\"vov_cs\":{vov_cs},\"vov_sw\":{vov_sw},\"trials\":500,\"chunk_trials\":250}}"
+            ),
         )
         .expect("yield req");
         let ybody = e.execute(&yreq).expect("yield");

@@ -172,14 +172,19 @@ pub fn read_request(
         buf.extend_from_slice(&chunk[..n]);
     };
 
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| malformed("head is not UTF-8"))?;
+    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| malformed("head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_ascii_whitespace();
-    let method = parts.next().ok_or_else(|| malformed("empty request line"))?;
-    let path = parts.next().ok_or_else(|| malformed("missing request target"))?;
-    let version = parts.next().ok_or_else(|| malformed("missing HTTP version"))?;
+    let method = parts
+        .next()
+        .ok_or_else(|| malformed("empty request line"))?;
+    let path = parts
+        .next()
+        .ok_or_else(|| malformed("missing request target"))?;
+    let version = parts
+        .next()
+        .ok_or_else(|| malformed("missing HTTP version"))?;
     if !version.starts_with("HTTP/1.") {
         return Err(malformed(format!("unsupported version `{version}`")));
     }
@@ -287,9 +292,7 @@ mod tests {
     fn parses_post_with_body() {
         let (mut client, mut server) = pair();
         client
-            .write_all(
-                b"POST /v1/sizing HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
-            )
+            .write_all(b"POST /v1/sizing HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
             .expect("send");
         let req = read_request(&mut server, TIMEOUT).expect("parse");
         assert_eq!(req.method, "POST");
@@ -302,7 +305,9 @@ mod tests {
         let (mut client, mut server) = pair();
         client.write_all(b"GET /v1/healthz HT").expect("send 1");
         client.flush().expect("flush");
-        client.write_all(b"TP/1.1\r\nHost: x\r\n\r\n").expect("send 2");
+        client
+            .write_all(b"TP/1.1\r\nHost: x\r\n\r\n")
+            .expect("send 2");
         let req = read_request(&mut server, TIMEOUT).expect("parse");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/v1/healthz");
@@ -312,7 +317,9 @@ mod tests {
     #[test]
     fn slow_client_times_out() {
         let (mut client, mut server) = pair();
-        client.write_all(b"POST /v1/sizing HTTP/1.1\r\n").expect("send");
+        client
+            .write_all(b"POST /v1/sizing HTTP/1.1\r\n")
+            .expect("send");
         // …and then nothing: the head never completes.
         let err = read_request(&mut server, Duration::from_millis(50)).expect_err("stall");
         assert_eq!(err, HttpError::Timeout);
@@ -379,7 +386,10 @@ mod tests {
         drop(server);
         let mut text = String::new();
         client.read_to_string(&mut text).expect("read");
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Retry-After: 3\r\n"), "{text}");
         assert!(text.contains("Connection: close\r\n"), "{text}");
         assert!(text.contains("Content-Length: 17\r\n"), "{text}");

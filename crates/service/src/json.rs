@@ -37,11 +37,7 @@ impl JsonValue {
     /// Member lookup on an object; `None` for other variants.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(members) => members
-                .iter()
-                .rev()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v),
+            JsonValue::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -172,11 +168,14 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+    while matches!(
+        bytes.get(*pos),
+        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    ) {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| syntax(start, "non-UTF-8 number"))?;
+    let text =
+        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| syntax(start, "non-UTF-8 number"))?;
     let n: f64 = text
         .parse()
         .map_err(|_| syntax(start, format!("invalid number `{text}`")))?;
@@ -213,8 +212,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let cp = parse_hex4(bytes, pos)?;
                         let ch = if (0xd800..0xdc00).contains(&cp) {
                             // High surrogate: require the paired low half.
-                            if bytes.get(*pos) == Some(&b'\\')
-                                && bytes.get(*pos + 1) == Some(&b'u')
+                            if bytes.get(*pos) == Some(&b'\\') && bytes.get(*pos + 1) == Some(&b'u')
                             {
                                 *pos += 2;
                                 let lo = parse_hex4(bytes, pos)?;
@@ -441,8 +439,8 @@ mod tests {
 
     #[test]
     fn arrays_and_nested_objects() {
-        let v = parse(r#"{"points": [{"x": 1}, {"x": 2}], "empty": [], "eo": {}}"#)
-            .expect("parses");
+        let v =
+            parse(r#"{"points": [{"x": 1}, {"x": 2}], "empty": [], "eo": {}}"#).expect("parses");
         match v.get("points") {
             Some(JsonValue::Arr(items)) => {
                 assert_eq!(items.len(), 2);

@@ -193,10 +193,7 @@ impl ServerHandle {
     /// Whether the durable store has degraded (stopped persisting after
     /// an I/O failure). Always `false` without a store.
     pub fn store_degraded(&self) -> bool {
-        self.shared
-            .store
-            .as_ref()
-            .is_some_and(|s| s.is_degraded())
+        self.shared.store.as_ref().is_some_and(|s| s.is_degraded())
     }
 }
 
@@ -282,8 +279,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             // one-time exit path and respond_error is wall-clock-bounded.
             respond_error(
                 stream,
-                &ApiError::new(ErrorKind::ShuttingDown, "daemon is draining")
-                    .with_retry_after(1),
+                &ApiError::new(ErrorKind::ShuttingDown, "daemon is draining").with_retry_after(1),
                 None,
             );
             return;
@@ -424,11 +420,19 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         Ok(r) => r,
         Err(HttpError::Disconnected) => return, // nobody left to answer
         Err(e @ (HttpError::Timeout | HttpError::Io { .. })) => {
-            respond_error(stream, &ApiError::new(ErrorKind::BadRequest, e.to_string()), None);
+            respond_error(
+                stream,
+                &ApiError::new(ErrorKind::BadRequest, e.to_string()),
+                None,
+            );
             return;
         }
         Err(e) => {
-            respond_error(stream, &ApiError::new(ErrorKind::BadRequest, e.to_string()), None);
+            respond_error(
+                stream,
+                &ApiError::new(ErrorKind::BadRequest, e.to_string()),
+                None,
+            );
             return;
         }
     };
@@ -488,14 +492,20 @@ fn route(shared: &Shared, req: &HttpRequest) -> Response {
         ("GET" | "POST", _) => (
             404,
             None,
-            ApiError::new(ErrorKind::BadRequest, format!("no such endpoint `{}`", req.path))
-                .render(),
+            ApiError::new(
+                ErrorKind::BadRequest,
+                format!("no such endpoint `{}`", req.path),
+            )
+            .render(),
         ),
         (method, _) => (
             405,
             None,
-            ApiError::new(ErrorKind::BadRequest, format!("unsupported method `{method}`"))
-                .render(),
+            ApiError::new(
+                ErrorKind::BadRequest,
+                format!("unsupported method `{method}`"),
+            )
+            .render(),
         ),
     }
 }

@@ -165,9 +165,8 @@ mod tests {
         for _ in 0..trials {
             let data: Vec<f64> = (0..n).map(|_| sampler.sample(&mut rng)).collect();
             let mean = data.iter().sum::<f64>() / n as f64;
-            let sd = (data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-                / (n - 1) as f64)
-                .sqrt();
+            let sd =
+                (data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64).sqrt();
             let (lo, hi) = sigma_confidence_interval(sd, n as u64, 0.95).expect("valid");
             if lo <= 1.0 && 1.0 <= hi {
                 covered += 1;

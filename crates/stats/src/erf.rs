@@ -121,7 +121,11 @@ fn erfc_cf(x: f64) -> f64 {
     let mut n = 0usize;
     loop {
         // a_n = n*q for n >= 1, with the leading convergent b_0 = 0, a_1 = 1.
-        let (a, b) = if n == 0 { (1.0, 1.0) } else { (n as f64 * q, 1.0) };
+        let (a, b) = if n == 0 {
+            (1.0, 1.0)
+        } else {
+            (n as f64 * q, 1.0)
+        };
         d = b + a * d;
         if d.abs() < TINY {
             d = TINY;
@@ -187,10 +191,7 @@ mod tests {
     fn erf_matches_reference() {
         for &(x, want) in ERF_REFERENCE {
             let got = erf(x);
-            assert!(
-                rel_err(got, want) < 1e-14,
-                "erf({x}) = {got}, want {want}"
-            );
+            assert!(rel_err(got, want) < 1e-14, "erf({x}) = {got}, want {want}");
         }
     }
 
@@ -198,10 +199,7 @@ mod tests {
     fn erfc_matches_reference_including_far_tail() {
         for &(x, want) in ERFC_REFERENCE {
             let got = erfc(x);
-            assert!(
-                rel_err(got, want) < 1e-13,
-                "erfc({x}) = {got}, want {want}"
-            );
+            assert!(rel_err(got, want) < 1e-13, "erfc({x}) = {got}, want {want}");
         }
     }
 

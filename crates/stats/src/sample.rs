@@ -230,10 +230,8 @@ mod tests {
         let mut rng = seeded_rng(999);
         let mut s = NormalSampler::new();
         let n = 100_000usize;
-        let beyond_2sigma = (0..n)
-            .filter(|_| s.sample(&mut rng).abs() > 2.0)
-            .count() as f64
-            / n as f64;
+        let beyond_2sigma =
+            (0..n).filter(|_| s.sample(&mut rng).abs() > 2.0).count() as f64 / n as f64;
         // P(|Z| > 2) = 4.55 %; allow generous MC tolerance.
         assert!(
             (beyond_2sigma - 0.0455).abs() < 0.005,

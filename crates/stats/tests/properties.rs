@@ -237,13 +237,17 @@ fn consistent_with_is_monotone_in_z() {
         // Interval nesting.
         let (lo_s, hi_s) = y.wilson_interval(zs);
         let (lo_l, hi_l) = y.wilson_interval(zl);
-        assert!(lo_l <= lo_s + 1e-12 && hi_s <= hi_l + 1e-12,
-            "[{lo_l}, {hi_l}] at z = {zl} does not contain [{lo_s}, {hi_s}] at z = {zs}");
+        assert!(
+            lo_l <= lo_s + 1e-12 && hi_s <= hi_l + 1e-12,
+            "[{lo_l}, {hi_l}] at z = {zl} does not contain [{lo_s}, {hi_s}] at z = {zs}"
+        );
         // Monotone consistency at a random target.
         let target = rng.gen_range(0.0..1.0);
         if y.consistent_with(target, zs) {
-            assert!(y.consistent_with(target, zl),
-                "target {target} consistent at z = {zs} but not at z = {zl} ({y})");
+            assert!(
+                y.consistent_with(target, zl),
+                "target {target} consistent at z = {zs} but not at z = {zl} ({y})"
+            );
         }
     }
 }
@@ -264,7 +268,10 @@ fn wilson_interval_always_well_formed() {
         let y = YieldEstimate::from_counts(passes, trials).expect("valid counts");
         let z = rng.gen_range(0.01..10.0);
         let (lo, hi) = y.wilson_interval(z);
-        assert!(lo.is_finite() && hi.is_finite(), "{passes}/{trials}: [{lo}, {hi}]");
+        assert!(
+            lo.is_finite() && hi.is_finite(),
+            "{passes}/{trials}: [{lo}, {hi}]"
+        );
         assert!((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi));
         assert!(lo <= hi);
         assert!(lo <= y.estimate() && y.estimate() <= hi);

@@ -710,11 +710,7 @@ fn rotate(shared: &Shared, w: &mut Writer) -> bool {
         Ok(f) => f,
         Err(_) => return false,
     };
-    if file
-        .write_all(MAGIC)
-        .and_then(|_| file.flush())
-        .is_err()
-    {
+    if file.write_all(MAGIC).and_then(|_| file.flush()).is_err() {
         return false;
     }
     w.file = file;
@@ -775,10 +771,7 @@ fn compact(shared: &Shared, w: &mut Writer) -> bool {
             let _ = fs::remove_file(seg_path(&w.dir, old));
         }
     }
-    w.live = entries
-        .iter()
-        .map(|e| (e.key.clone(), e.bytes))
-        .collect();
+    w.live = entries.iter().map(|e| (e.key.clone(), e.bytes)).collect();
     w.live_bytes = entries.iter().map(|e| e.bytes).sum();
     w.file = file;
     w.active_idx = idx;
@@ -799,10 +792,8 @@ mod tests {
 
     fn temp_dir(tag: &str) -> PathBuf {
         let n = TEST_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "ctsdac-store-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ctsdac-store-{tag}-{}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -911,7 +902,10 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(keys, vec!["cold", "hot"]);
         assert_eq!(
-            rec.entries.iter().find(|(k, _)| k == "hot").map(|(_, v)| v.as_str()),
+            rec.entries
+                .iter()
+                .find(|(k, _)| k == "hot")
+                .map(|(_, v)| v.as_str()),
             Some("{\"i\":49}")
         );
         let _ = fs::remove_dir_all(&dir);
@@ -936,7 +930,10 @@ mod tests {
         fs::write(&seg, &bytes[..bytes.len() - 3]).expect("tear");
         let (_s, rec) = Store::open(small_cfg(&dir)).expect("reopen");
         assert_eq!(rec.records_discarded, 1);
-        assert_eq!(rec.entries, vec![("good".to_string(), "{\"g\":1}".to_string())]);
+        assert_eq!(
+            rec.entries,
+            vec![("good".to_string(), "{\"g\":1}".to_string())]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -957,7 +954,10 @@ mod tests {
         store.close();
         let (_s, rec) = Store::open(small_cfg(&dir)).expect("reopen");
         assert_eq!(rec.records_discarded, 1, "torn record counted");
-        assert_eq!(rec.entries, vec![("one".to_string(), "{\"n\":1}".to_string())]);
+        assert_eq!(
+            rec.entries,
+            vec![("one".to_string(), "{\"n\":1}".to_string())]
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,9 +17,18 @@ use std::time::Duration;
 /// shaped like the service's rendered JSON so recovery round-trips the
 /// real payload class, full f64 digits included.
 const ENTRIES: [(&str, &str); 3] = [
-    ("sizing:g8", "{\"area\":1.4142135623730951,\"feasible\":true}"),
-    ("sizing:g9", "{\"area\":2.718281828459045,\"feasible\":true}"),
-    ("sizing:g10", "{\"area\":3.141592653589793,\"feasible\":false}"),
+    (
+        "sizing:g8",
+        "{\"area\":1.4142135623730951,\"feasible\":true}",
+    ),
+    (
+        "sizing:g9",
+        "{\"area\":2.718281828459045,\"feasible\":true}",
+    ),
+    (
+        "sizing:g10",
+        "{\"area\":3.141592653589793,\"feasible\":false}",
+    ),
 ];
 
 static CASE_SEQ: AtomicU64 = AtomicU64::new(0);

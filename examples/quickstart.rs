@@ -2,11 +2,11 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use ctsdac::circuit::cell::CellTopology;
 use ctsdac::core::explore::{DesignSpace, Objective};
 use ctsdac::core::report::ComparisonReport;
 use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::{CsSizing, DacSpec};
-use ctsdac::circuit::cell::CellTopology;
 
 fn main() {
     // 1. The specification: 12 bits, 4+8 segmentation, 99.7 % INL yield,

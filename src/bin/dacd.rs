@@ -34,8 +34,8 @@
 //! With `--stdin-shutdown` the daemon also drains when stdin reaches EOF
 //! — the supervisor-friendly alternative to `POST /v1/shutdown`.
 
-use ctsdac::store::StoreConfig;
 use ctsdac::service::server::{start, ServerConfig};
+use ctsdac::store::StoreConfig;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -106,7 +106,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--jobs" => {
                 cfg.engine.max_jobs = parse_num("--jobs", &value("--jobs", &mut it)?, 1, 64)?
             }
-            "--queue" => cfg.queue_cap = parse_num("--queue", &value("--queue", &mut it)?, 1, 4096)?,
+            "--queue" => {
+                cfg.queue_cap = parse_num("--queue", &value("--queue", &mut it)?, 1, 4096)?
+            }
             "--inflight" => {
                 cfg.admission.max_inflight =
                     parse_num("--inflight", &value("--inflight", &mut it)?, 1, 4096)?

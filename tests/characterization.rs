@@ -18,8 +18,14 @@ use ctsdac::stats::NormalSampler;
 #[test]
 fn flow_design_is_not_thermal_limited() {
     let spec = DacSpec::paper_12bit();
-    let report = run_flow(&spec, &FlowOptions { grid: 8, ..Default::default() })
-        .expect("feasible");
+    let report = run_flow(
+        &spec,
+        &FlowOptions {
+            grid: 8,
+            ..Default::default()
+        },
+    )
+    .expect("feasible");
     let snr = thermal_snr_db(&report.lsb_cell, &spec.env, spec.n_bits, 400e6, 300.0);
     let quantisation = 6.02 * 12.0 + 1.76;
     assert!(

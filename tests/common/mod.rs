@@ -43,12 +43,7 @@ impl Reply {
 }
 
 /// Sends one request and reads the full response (connection: close).
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> std::io::Result<Reply> {
+pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> std::io::Result<Reply> {
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))?;
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
@@ -76,7 +71,10 @@ pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<Reply> {
 
 fn parse_reply(raw: &str) -> std::io::Result<Reply> {
     let bad = |detail: &str| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{detail}: {raw:?}"))
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{detail}: {raw:?}"),
+        )
     };
     let (head, body) = raw
         .split_once("\r\n\r\n")

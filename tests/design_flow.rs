@@ -39,7 +39,11 @@ fn flow_design_passes_behavioural_sine_test() {
     let mut rng = seeded_rng(77);
     let errors = CellErrors::random(&dac, spec.sigma_unit_spec(), &mut rng);
     let spectrum = SineTest::new(2048, 53e6, 0.98).run_static(&dac, &errors, 300e6);
-    assert!(spectrum.sfdr_db() > 75.0, "SFDR {:.1} dB", spectrum.sfdr_db());
+    assert!(
+        spectrum.sfdr_db() > 75.0,
+        "SFDR {:.1} dB",
+        spectrum.sfdr_db()
+    );
 }
 
 /// Resolution sweep: the auto topology flips from simple to cascoded as

@@ -79,8 +79,7 @@ fn sized_mismatch_budget_delivers_inl_yield() {
     let spec = DacSpec::new(10, 4, 0.997, base.env, base.tech);
     let dac = SegmentedDac::new(&spec);
     let mut rng = seeded_rng(2024);
-    let y = inl_yield_mc(&dac, spec.sigma_unit_spec(), 0.5, 500, &mut rng)
-        .expect("valid MC setup");
+    let y = inl_yield_mc(&dac, spec.sigma_unit_spec(), 0.5, 500, &mut rng).expect("valid MC setup");
     assert!(
         y.estimate() >= 0.99,
         "MC yield {} below the 99.7 % target band",

@@ -109,7 +109,10 @@ fn eq2_cs_gate_area_12bit() {
 fn eq2_cs_aspect_ratio_is_square_law() {
     let spec = DacSpec::paper_12bit();
     assert!(rel_err(spec.i_lsb(), 4.8828125e-6) < 1e-12, "I_LSB");
-    assert!(rel_err(spec.i_unary(), 78.125e-6) < 1e-12, "I_unary = 16·I_LSB");
+    assert!(
+        rel_err(spec.i_unary(), 78.125e-6) < 1e-12,
+        "I_unary = 16·I_LSB"
+    );
     let cs = CsSizing::for_spec(&spec, 0.5);
     assert!(
         rel_err(cs.aspect(), 0.223214285714) < 1e-9,
@@ -142,7 +145,10 @@ fn eq9_s_factor_matches_normal_table() {
 #[test]
 fn eq4_exact_boundary_is_headroom_minus_vov_cs() {
     let spec = DacSpec::paper_12bit();
-    assert!(rel_err(spec.env.v_out_min(), 2.3) < 1e-15, "V_out,min = V_DD − V_o");
+    assert!(
+        rel_err(spec.env.v_out_min(), 2.3) < 1e-15,
+        "V_out,min = V_DD − V_o"
+    );
     let max_sw = SaturationCondition::Exact
         .max_vov_sw(&spec, 0.8)
         .expect("0.8 V CS overdrive leaves headroom");
@@ -154,7 +160,10 @@ fn eq4_exact_boundary_is_headroom_minus_vov_cs() {
     let max_legacy = SaturationCondition::legacy()
         .max_vov_sw(&spec, 0.8)
         .expect("feasible");
-    assert!((max_legacy - 1.0).abs() < 1e-9, "legacy boundary {max_legacy}");
+    assert!(
+        (max_legacy - 1.0).abs() < 1e-9,
+        "legacy boundary {max_legacy}"
+    );
 }
 
 /// Eq. (9) statistical boundary: the margin is 2·S·σ_max evaluated *at the
@@ -205,16 +214,14 @@ fn eq9_margin_is_two_s_sigma_max() {
 fn eq11_cascoded_margin_is_three_s_sigma_max() {
     let spec = DacSpec::paper_12bit();
     let (vov_cs, vov_cas, vov_sw) = (0.4, 0.3, 0.5);
-    let margin =
-        SaturationCondition::Statistical.margin_cascoded(&spec, vov_cs, vov_cas, vov_sw);
+    let margin = SaturationCondition::Statistical.margin_cascoded(&spec, vov_cs, vov_cas, vov_sw);
     let cell = build_cascoded_cell(&spec, vov_cs, vov_cas, vov_sw, 1);
     let s = cascoded_bound_sigmas(&spec, &cell);
     let sigma_max = s.sw_upper.max(s.sw_lower).max(s.cas_upper).max(s.cas_lower);
     let by_hand = 3.0 * SaturationCondition::s_factor(&spec) * sigma_max;
     assert!(rel_err(margin, by_hand) < 1e-12);
     // And the admission predicate is exactly the budget inequality.
-    let admitted = SaturationCondition::Statistical
-        .admits_cascoded(&spec, vov_cs, vov_cas, vov_sw);
+    let admitted = SaturationCondition::Statistical.admits_cascoded(&spec, vov_cs, vov_cas, vov_sw);
     assert_eq!(
         admitted,
         vov_cs + vov_cas + vov_sw <= spec.env.v_out_min() - margin
@@ -233,21 +240,12 @@ fn eq13_output_pole_formula() {
     let spec = DacSpec::paper_12bit();
     assert_eq!(spec.cells_at_output(), 259);
     let env = CellEnvironment::paper_12bit();
-    let cell = SizedCell::simple_from_overdrives(
-        &spec.tech,
-        spec.i_unary(),
-        0.5,
-        0.6,
-        400e-12,
-        None,
-    );
+    let cell =
+        SizedCell::simple_from_overdrives(&spec.tech, spec.i_unary(), 0.5, 0.6, 400e-12, None);
     let poles = PoleModel::new(259).poles(&cell, &env).expect("feasible");
     let caps = cell.sw_caps();
-    let by_hand = 1.0
-        / (2.0
-            * std::f64::consts::PI
-            * env.rl
-            * (env.c_load + 259.0 * (caps.cdb + caps.cgd)));
+    let by_hand =
+        1.0 / (2.0 * std::f64::consts::PI * env.rl * (env.c_load + 259.0 * (caps.cdb + caps.cgd)));
     assert!(rel_err(poles.p1_hz, by_hand) < 1e-12);
     let bare_load = 1.0 / (2.0 * std::f64::consts::PI * 50.0 * 2e-12);
     assert!((bare_load - 1.5915e9).abs() < 1e6, "bare RC = {bare_load}");

@@ -66,9 +66,18 @@ fn lanes_match_both_scalar_modes_at_every_remainder() {
             let lanes8 = eng
                 .run_lanes::<8, _>(trials, &mut seeded_rng(seed))
                 .expect("lanes<8> run");
-            assert_eq!(lanes1, reference, "lanes<1> vs reference, trials={trials} seed={seed}");
-            assert_eq!(lanes4, reference, "lanes<4> vs reference, trials={trials} seed={seed}");
-            assert_eq!(lanes8, reference, "lanes<8> vs reference, trials={trials} seed={seed}");
+            assert_eq!(
+                lanes1, reference,
+                "lanes<1> vs reference, trials={trials} seed={seed}"
+            );
+            assert_eq!(
+                lanes4, reference,
+                "lanes<4> vs reference, trials={trials} seed={seed}"
+            );
+            assert_eq!(
+                lanes8, reference,
+                "lanes<8> vs reference, trials={trials} seed={seed}"
+            );
             assert!(
                 reference.inl.estimate() < 1.0,
                 "trials={trials} seed={seed}: expected some INL failures at 2x spec sigma"
@@ -122,17 +131,23 @@ fn work_counters_are_lane_width_invariant() {
         (eng.trials_run(), eng.codes_scanned(), eng.fallbacks())
     };
     let scalar = counters(&mut |e| {
-        e.run_lanes::<1, _>(trials, &mut seeded_rng(seed)).expect("lanes<1>");
+        e.run_lanes::<1, _>(trials, &mut seeded_rng(seed))
+            .expect("lanes<1>");
     });
     let lanes4 = counters(&mut |e| {
-        e.run_lanes::<4, _>(trials, &mut seeded_rng(seed)).expect("lanes<4>");
+        e.run_lanes::<4, _>(trials, &mut seeded_rng(seed))
+            .expect("lanes<4>");
     });
     let lanes8 = counters(&mut |e| {
-        e.run_lanes::<8, _>(trials, &mut seeded_rng(seed)).expect("lanes<8>");
+        e.run_lanes::<8, _>(trials, &mut seeded_rng(seed))
+            .expect("lanes<8>");
     });
     assert_eq!(lanes4, scalar, "lanes<4> counters vs lanes<1>");
     assert_eq!(lanes8, scalar, "lanes<8> counters vs lanes<1>");
-    assert_eq!(scalar.0, trials, "trials_run accounts every trial exactly once");
+    assert_eq!(
+        scalar.0, trials,
+        "trials_run accounts every trial exactly once"
+    );
     let scan = (1u64 << spec.binary_bits) + dac.n_unary() as u64 + 1;
     assert_eq!(scalar.1, trials * scan + scalar.2 * (dac.max_code() + 1));
 }
@@ -204,10 +219,19 @@ fn supervised_lanes_match_scalar_supervised_across_jobs_and_widths() {
             .expect("supervised lanes<8>")
             .value;
         assert_eq!(scalar, oracle, "supervised reference, jobs={jobs} vs 1");
-        assert_eq!(lanes4, oracle, "supervised lanes<4> vs reference, jobs={jobs}");
-        assert_eq!(lanes8, oracle, "supervised lanes<8> vs reference, jobs={jobs}");
+        assert_eq!(
+            lanes4, oracle,
+            "supervised lanes<4> vs reference, jobs={jobs}"
+        );
+        assert_eq!(
+            lanes8, oracle,
+            "supervised lanes<8> vs reference, jobs={jobs}"
+        );
     }
-    assert!(oracle.inl.estimate() < 1.0, "expected some INL failures at 2x spec sigma");
+    assert!(
+        oracle.inl.estimate() < 1.0,
+        "expected some INL failures at 2x spec sigma"
+    );
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -247,8 +271,14 @@ fn lane_and_reference_journals_resume_each_other() {
         truncate_tail(&journal, 9).expect("truncate journal");
         let resumed = resumer(&ExecPolicy::with_jobs(8).checkpoint_at(&journal).resuming());
         assert_eq!(resumed.value, clean, "{label}: resumed yields diverged");
-        assert!(resumed.restored > 0, "{label}: no chunk restored from the journal");
-        assert!(resumed.computed > 0, "{label}: the torn chunk was not recomputed");
+        assert!(
+            resumed.restored > 0,
+            "{label}: no chunk restored from the journal"
+        );
+        assert!(
+            resumed.computed > 0,
+            "{label}: the torn chunk was not recomputed"
+        );
         let _ = std::fs::remove_file(&journal);
     }
 }
@@ -279,7 +309,12 @@ fn supervised_lanes_absorb_injected_faults_bit_identically() {
             }
             .expect("faulty run");
             assert_eq!(out.value, clean, "jobs={jobs} W4={width_is_4}");
-            assert_eq!(out.faults.len(), 4, "jobs={jobs} W4={width_is_4}: {:?}", out.faults);
+            assert_eq!(
+                out.faults.len(),
+                4,
+                "jobs={jobs} W4={width_is_4}: {:?}",
+                out.faults
+            );
         }
     }
 }
@@ -308,8 +343,16 @@ fn scalar_sweep(s: &DesignSpace) -> Vec<DesignPoint> {
 fn assert_bitwise_eq(a: &[DesignPoint], b: &[DesignPoint], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: point counts differ");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.vov_cs.to_bits(), y.vov_cs.to_bits(), "{label}: vov_cs at {i}");
-        assert_eq!(x.vov_sw.to_bits(), y.vov_sw.to_bits(), "{label}: vov_sw at {i}");
+        assert_eq!(
+            x.vov_cs.to_bits(),
+            y.vov_cs.to_bits(),
+            "{label}: vov_cs at {i}"
+        );
+        assert_eq!(
+            x.vov_sw.to_bits(),
+            y.vov_sw.to_bits(),
+            "{label}: vov_sw at {i}"
+        );
         assert_eq!(x.feasible, y.feasible, "{label}: feasible at {i}");
         assert_eq!(x.reason, y.reason, "{label}: reason at {i}");
         assert_eq!(
@@ -333,7 +376,10 @@ fn assert_bitwise_eq(a: &[DesignPoint], b: &[DesignPoint], label: &str) {
             y.dc_i_out.to_bits(),
             "{label}: dc_i_out at {i}"
         );
-        assert_eq!(x.dc_saturated, y.dc_saturated, "{label}: dc_saturated at {i}");
+        assert_eq!(
+            x.dc_saturated, y.dc_saturated,
+            "{label}: dc_saturated at {i}"
+        );
     }
 }
 
@@ -409,7 +455,10 @@ fn sweep_stats_are_lane_width_invariant() {
         let (_, s8): (_, SweepStats) = lanes.sweep_with_stats_lane_width::<8>();
         let (_, prod) = lanes.sweep_with_stats();
         assert_eq!(s4, s8, "grid={grid}: stats differ between W=4 and W=8");
-        assert_eq!(s8, prod, "grid={grid}: production stats differ from explicit W=8");
+        assert_eq!(
+            s8, prod,
+            "grid={grid}: production stats differ from explicit W=8"
+        );
         assert!(s8.dc_solves > 0, "grid={grid}: sweep did no DC work");
         assert_eq!(s8.dc_failures, 0, "grid={grid}: unexpected DC failures");
     }

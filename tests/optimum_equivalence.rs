@@ -16,8 +16,8 @@ use ctsdac::core::explore::{
 };
 use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::DacSpec;
-use ctsdac::process::Technology;
 use ctsdac::failpoint::Registry;
+use ctsdac::process::Technology;
 use ctsdac::runtime::{truncate_tail, ExecPolicy, JournalError, RuntimeError};
 use std::path::PathBuf;
 

@@ -41,11 +41,7 @@ fn lenient_breaker() -> BreakerConfig {
 /// gets a typed 500, the daemon itself stays alive and serviceable.
 #[test]
 fn worker_panics_under_load_surface_as_typed_500s_not_crashes() {
-    let server = start(server_with(
-        Some("panic@pool.chunk[0]"),
-        lenient_breaker(),
-    ))
-    .expect("bind");
+    let server = start(server_with(Some("panic@pool.chunk[0]"), lenient_breaker())).expect("bind");
     let addr = server.local_addr();
 
     let mut handles = Vec::new();
@@ -107,7 +103,11 @@ fn breaker_trips_after_consecutive_failures_and_reopens_on_failed_probe() {
     // are still armed), and the breaker re-opens.
     std::thread::sleep(Duration::from_millis(350));
     let probe = post(addr, "/v1/sizing", "{\"grid\":11}").expect("reply");
-    assert_eq!(probe.status, 500, "probe reaches the runtime: {}", probe.body);
+    assert_eq!(
+        probe.status, 500,
+        "probe reaches the runtime: {}",
+        probe.body
+    );
     let reopened = post(addr, "/v1/sizing", "{\"grid\":12}").expect("reply");
     assert_eq!(reopened.status, 503, "{}", reopened.body);
     assert_eq!(reopened.error_kind(), Some("breaker_open"));
@@ -154,7 +154,11 @@ fn uncounted_probe_outcome_resolves_the_breaker_instead_of_wedging_it() {
         "{\"vov_cs\":1.5,\"vov_sw\":1.5,\"trials\":100}",
     )
     .expect("reply");
-    assert_eq!(probe.status, 422, "probe reaches the engine: {}", probe.body);
+    assert_eq!(
+        probe.status, 422,
+        "probe reaches the engine: {}",
+        probe.body
+    );
 
     // Resolved and closed: the next request reaches the runtime again
     // (500 from the still-armed faults), not a 503 "probe in flight".
@@ -221,13 +225,20 @@ fn slow_clients_and_mid_body_disconnects_never_wedge_the_daemon() {
 #[test]
 fn short_deadline_yields_typed_504_via_runtime_cancellation() {
     // Every chunk takes >= 80 ms; a 40 ms deadline cannot finish chunk 1.
-    let plan = (0..4).map(|c| format!("delay=80@pool.chunk[{c}]:1")).collect::<Vec<_>>();
+    let plan = (0..4)
+        .map(|c| format!("delay=80@pool.chunk[{c}]:1"))
+        .collect::<Vec<_>>();
     let server = start(server_with(Some(&plan.join(",")), lenient_breaker())).expect("bind");
     let addr = server.local_addr();
 
     let reply = post(addr, "/v1/sizing", "{\"grid\":8,\"deadline_ms\":40}").expect("reply");
     assert_eq!(reply.status, 504, "{}", reply.body);
-    assert_eq!(reply.error_kind(), Some("deadline_exceeded"), "{}", reply.body);
+    assert_eq!(
+        reply.error_kind(),
+        Some("deadline_exceeded"),
+        "{}",
+        reply.body
+    );
 
     server.shutdown();
     server.join();
@@ -239,7 +250,9 @@ fn short_deadline_yields_typed_504_via_runtime_cancellation() {
 #[test]
 fn graceful_drain_completes_in_flight_work() {
     // Chunk delays make the in-flight request provably span the drain.
-    let plan = (0..8).map(|c| format!("delay=60@pool.chunk[{c}]:1")).collect::<Vec<_>>();
+    let plan = (0..8)
+        .map(|c| format!("delay=60@pool.chunk[{c}]:1"))
+        .collect::<Vec<_>>();
     let server = start(server_with(Some(&plan.join(",")), lenient_breaker())).expect("bind");
     let addr = server.local_addr();
 
@@ -266,7 +279,11 @@ fn graceful_drain_completes_in_flight_work() {
     }
 
     let reply = in_flight.join().expect("in-flight client");
-    assert_eq!(reply.status, 200, "drain must not abort in-flight: {}", reply.body);
+    assert_eq!(
+        reply.status, 200,
+        "drain must not abort in-flight: {}",
+        reply.body
+    );
     assert!(reply.body.contains("\"feasible\":true"), "{}", reply.body);
 
     let t0 = Instant::now();
@@ -310,7 +327,13 @@ fn dacd_binary_serves_and_drains_on_stdin_eof() {
     use std::process::{Command, Stdio};
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_dacd"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--stdin-shutdown"])
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--stdin-shutdown",
+        ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -319,10 +342,7 @@ fn dacd_binary_serves_and_drains_on_stdin_eof() {
 
     let stdout = child.stdout.take().expect("stdout");
     let mut lines = BufReader::new(stdout).lines();
-    let banner = lines
-        .next()
-        .expect("banner line")
-        .expect("readable banner");
+    let banner = lines.next().expect("banner line").expect("readable banner");
     let addr: std::net::SocketAddr = banner
         .strip_prefix("listening on ")
         .expect("banner format")

@@ -64,8 +64,12 @@ fn run_load(jobs: usize, store: Option<&std::path::Path>) -> String {
     for h in handles {
         h.join().expect("client");
     }
-    let sweep = post(addr, "/v1/sweep", &format!("{{\"grid\":12,\"jobs\":{jobs}}}"))
-        .expect("sweep reply");
+    let sweep = post(
+        addr,
+        "/v1/sweep",
+        &format!("{{\"grid\":12,\"jobs\":{jobs}}}"),
+    )
+    .expect("sweep reply");
     assert_eq!(sweep.status, 200, "{}", sweep.body);
     let sizing = post(addr, "/v1/sizing", "{\"grid\":14}").expect("point");
     let vov_cs = extract(&sizing.body, "\"vov_cs\":");

@@ -18,7 +18,7 @@ fn tiny_server() -> ctsdac::service::ServerHandle {
         workers: 4,
         queue_cap: 8,
         admission: AdmissionConfig {
-            rate: 100_000.0, // shedding should come from the watermarks,
+            rate: 100_000.0,  // shedding should come from the watermarks,
             burst: 200_000.0, // not tenant rate, in this suite
             max_inflight: 8,
             ..AdmissionConfig::default()

@@ -46,7 +46,13 @@ struct Daemon {
 
 fn spawn_dacd(store: &Path, extra: &[&str]) -> Daemon {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dacd"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--stdin-shutdown"])
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--stdin-shutdown",
+        ])
         .arg("--store")
         .arg(store)
         .args(["--fsync-ms", "5"])
@@ -120,8 +126,8 @@ fn torn_run(dir: &Path) -> Vec<String> {
     let daemon = spawn_dacd(dir, &["--failpoints", TORN_SPEC, "--failpoint-seed", SEED]);
     let mut results = Vec::new();
     for grid in [8, 9, 10] {
-        let r = post(daemon.addr, "/v1/sizing", &format!("{{\"grid\":{grid}}}"))
-            .expect("sizing reply");
+        let r =
+            post(daemon.addr, "/v1/sizing", &format!("{{\"grid\":{grid}}}")).expect("sizing reply");
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(r.body.contains("\"cache\":\"miss\""), "{}", r.body);
         results.push(r.result_object().expect("result").to_string());

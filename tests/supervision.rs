@@ -51,7 +51,10 @@ fn sweep_is_bit_identical_for_jobs_1_vs_8_under_faults() {
         "faults not surfaced: {:?}",
         faulty.faults
     );
-    assert_eq!(faulty.computed, GRID as u64, "every chunk computed exactly once");
+    assert_eq!(
+        faulty.computed, GRID as u64,
+        "every chunk computed exactly once"
+    );
     assert_eq!(faulty.value.len(), clean.len());
     for (a, b) in faulty.value.iter().zip(&clean) {
         assert_eq!(a.vov_cs.to_bits(), b.vov_cs.to_bits());

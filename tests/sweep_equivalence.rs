@@ -37,8 +37,16 @@ fn scalar_sweep(s: &DesignSpace) -> Vec<DesignPoint> {
 fn assert_bitwise_eq(a: &[DesignPoint], b: &[DesignPoint], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: point counts differ");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.vov_cs.to_bits(), y.vov_cs.to_bits(), "{label}: vov_cs at {i}");
-        assert_eq!(x.vov_sw.to_bits(), y.vov_sw.to_bits(), "{label}: vov_sw at {i}");
+        assert_eq!(
+            x.vov_cs.to_bits(),
+            y.vov_cs.to_bits(),
+            "{label}: vov_cs at {i}"
+        );
+        assert_eq!(
+            x.vov_sw.to_bits(),
+            y.vov_sw.to_bits(),
+            "{label}: vov_sw at {i}"
+        );
         assert_eq!(x.feasible, y.feasible, "{label}: feasible at {i}");
         assert_eq!(x.reason, y.reason, "{label}: reason at {i}");
         assert_eq!(
@@ -62,7 +70,10 @@ fn assert_bitwise_eq(a: &[DesignPoint], b: &[DesignPoint], label: &str) {
             y.dc_i_out.to_bits(),
             "{label}: dc_i_out at {i}"
         );
-        assert_eq!(x.dc_saturated, y.dc_saturated, "{label}: dc_saturated at {i}");
+        assert_eq!(
+            x.dc_saturated, y.dc_saturated,
+            "{label}: dc_saturated at {i}"
+        );
     }
 }
 
@@ -143,10 +154,17 @@ fn supervised_sweep_resumes_bit_identically_after_a_kill() {
         truncate_tail(&journal, 13).expect("tear the journal tail");
 
         let resumed = lanes
-            .sweep_supervised(&ExecPolicy::with_jobs(jobs).checkpoint_at(&journal).resuming())
+            .sweep_supervised(
+                &ExecPolicy::with_jobs(jobs)
+                    .checkpoint_at(&journal)
+                    .resuming(),
+            )
             .expect("resumed lanes sweep");
         assert!(resumed.restored > 0, "jobs={jobs}: resume restored nothing");
-        assert!(resumed.computed > 0, "jobs={jobs}: the dead row must be recomputed");
+        assert!(
+            resumed.computed > 0,
+            "jobs={jobs}: the dead row must be recomputed"
+        );
         assert_eq!(
             resumed.restored + resumed.computed,
             GRID as u64,
