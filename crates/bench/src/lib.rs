@@ -701,20 +701,21 @@ pub fn saturation_yield() -> String {
 }
 
 /// [`saturation_yield`] with the past-the-line Monte-Carlo runs executed on
-/// the supervised worker pool. The supervised estimator draws per-chunk
-/// random streams, so its numbers are deterministic in (seed, trials) and
-/// identical for every `jobs` value.
+/// the supervised worker pool. Every run is a function of its `McPlan`
+/// alone, so the numbers are identical for every `jobs` value.
 pub fn saturation_yield_jobs(jobs: usize) -> String {
-    use ctsdac_core::validate::{saturation_yield_supervised, yield_on_constraint};
+    use ctsdac_core::validate::{
+        saturation_yield_supervised, yield_on_constraint, MC_CHUNK_TRIALS,
+    };
     let spec = DacSpec::paper_12bit();
     let mut report = String::new();
     writeln!(report, "== SAT-YIELD: MC validation of eq. (9) ==").expect("write");
     let mut rows = Vec::new();
-    // On the constraint line at several CS overdrives (sequential: this
-    // pins the historical single-stream draw sequence).
+    // On the constraint line at several CS overdrives, inline.
     for vov_cs in [0.5, 0.8, 1.2] {
-        let mut rng = seeded_rng(900 + (vov_cs * 10.0) as u64);
-        if let Some(r) = yield_on_constraint(&spec, vov_cs, 4000, &mut rng) {
+        let plan = McPlan::new(900 + (vov_cs * 10.0) as u64, 4000, MC_CHUNK_TRIALS)
+            .expect("non-zero trials");
+        if let Some(r) = yield_on_constraint(&spec, vov_cs, &plan) {
             writeln!(report, "on eq.(9) line at Vov_CS = {vov_cs:.1}: {r}").expect("write");
             rows.push(format!(
                 "on_line,{vov_cs},{},{}",

@@ -49,7 +49,7 @@ pub mod sample;
 pub mod summary;
 
 pub use erf::{erf, erfc};
-pub use mc::{monte_carlo, SequentialYield, StatsError, YieldDecision, YieldEstimate, YieldTest};
+pub use mc::{SequentialYield, StatsError, YieldDecision, YieldEstimate, YieldTest};
 pub use normal::{inv_phi, phi, InvalidProbabilityError, Normal};
 pub use rng::{seeded_rng, stream_rng, Rng, SliceRandom, Xoshiro256PlusPlus};
 pub use sample::NormalSampler;

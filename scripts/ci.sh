@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Offline CI gate for the ctsdac workspace.
 #
-# 1. Hermetic build + tests: everything runs with --offline; a network
-#    dependency creeping back into the tree fails the build here.
+# 1. Format, hermetic build + tests: `cargo fmt --all -- --check` fails on
+#    any unformatted workspace source (perfbench is a workspace of its own
+#    and is not checked); everything else runs with --offline, so a
+#    network dependency creeping back into the tree fails the build here.
 # 2. Property suites: the proptest-backed suites are feature-gated so the
 #    default build stays dependency-free; CI opts in explicitly. A
 #    dedicated lane-differential stage then re-runs the lane-equivalence
@@ -68,6 +70,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> format (cargo fmt --check)"
+cargo fmt --all -- --check
 
 echo "==> build (offline)"
 cargo build --offline --workspace
