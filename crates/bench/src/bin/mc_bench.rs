@@ -4,13 +4,10 @@
 //! mc_bench [--trials N] [--reps R] [--out PATH] [--budget CODES]
 //! ```
 //!
-//! Times three yield-estimation strategies on the paper's 12-bit segmented
-//! spec at the spec unit-source sigma and writes the measurements as
-//! `BENCH_mc.json` (schema `ctsdac-mc-bench-v2`):
+//! Times the yield engine's two evaluation paths on the paper's 12-bit
+//! segmented spec at the spec unit-source sigma and writes the
+//! measurements as `BENCH_mc.json` (schema `ctsdac-mc-bench-v3`):
 //!
-//! * `legacy` — the pre-engine flow: three independent MC loops
-//!   (`inl_yield_mc`, `dnl_yield_mc`, `monotonicity_yield_mc`), each with
-//!   its own draws and its own allocating transfer-curve rebuild;
 //! * `reference` — one engine run through [`YieldMode::Reference`]: common
 //!   random numbers across the three metrics but still the scalar
 //!   allocating chain per trial;
@@ -36,7 +33,6 @@
 
 use ctsdac_core::DacSpec;
 use ctsdac_dac::architecture::SegmentedDac;
-use ctsdac_dac::static_metrics::{dnl_yield_mc, inl_yield_mc, monotonicity_yield_mc};
 use ctsdac_dac::yield_engine::{FusedYields, YieldEngine, YieldLimits, YieldMode};
 use ctsdac_obs as obs;
 use ctsdac_stats::sample::seeded_rng;
@@ -161,24 +157,6 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
 
-    // legacy: three independent single-metric loops, each drawing its own
-    // mismatch stream (the pre-engine cost of "all three yields").
-    let mut legacy_yields = None;
-    let legacy_wall = time_best(args.reps, || {
-        let mut rng = seeded_rng(SEED);
-        let inl = inl_yield_mc(&dac, sigma, limits.inl, trials, &mut rng).expect("inl loop");
-        let mut rng = seeded_rng(SEED);
-        let dnl = dnl_yield_mc(&dac, sigma, limits.dnl, trials, &mut rng).expect("dnl loop");
-        let mut rng = seeded_rng(SEED);
-        let mono = monotonicity_yield_mc(&dac, sigma, trials, &mut rng).expect("mono loop");
-        legacy_yields = Some(FusedYields {
-            inl,
-            dnl,
-            monotonicity: mono,
-        });
-    });
-    let legacy_yields = legacy_yields.expect("reps >= 1");
-
     // reference: one engine run through the scalar allocating chain.
     let mut reference_yields = None;
     let reference_wall = time_best(args.reps, || {
@@ -235,7 +213,6 @@ fn main() -> ExitCode {
     let obs_overhead = obs_enabled_wall / obs_disabled_wall - 1.0;
 
     let speedup_lanes_ref = reference_wall / lanes_wall;
-    let speedup_lanes_legacy = legacy_wall / lanes_wall;
     // The work budget recorded in the JSON: the caller's --budget if given,
     // else half a transfer curve per trial. The screened classifier does one
     // block scan (~272 code-equivalents at 12 bits), so a regression that
@@ -244,7 +221,7 @@ fn main() -> ExitCode {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"ctsdac-mc-bench-v2\",");
+    let _ = writeln!(json, "  \"schema\": \"ctsdac-mc-bench-v3\",");
     let _ = writeln!(json, "  \"n_bits\": {},", spec.n_bits);
     let _ = writeln!(json, "  \"trials\": {trials},");
     let _ = writeln!(json, "  \"reps\": {},", args.reps);
@@ -253,11 +230,6 @@ fn main() -> ExitCode {
     let _ = writeln!(
         json,
         "  \"bit_identical_lanes_vs_reference\": {lanes_identical},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"legacy\": {},",
-        strategy_json(legacy_wall, trials, &legacy_yields)
     );
     let _ = writeln!(
         json,
@@ -278,11 +250,7 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"per_trial_work_budget\": {recorded_budget:.1},");
     let _ = writeln!(
         json,
-        "  \"speedup_lanes_over_reference\": {speedup_lanes_ref:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_lanes_over_legacy\": {speedup_lanes_legacy:.3}"
+        "  \"speedup_lanes_over_reference\": {speedup_lanes_ref:.3}"
     );
     let _ = writeln!(json, "}}");
 
@@ -295,11 +263,6 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "legacy (3 loops): {trials} trials in {:.3} ms -> {:.0} trials/sec",
-        legacy_wall * 1e3,
-        trials as f64 / legacy_wall,
-    );
-    println!(
         "reference (CRN) : {trials} trials in {:.3} ms -> {:.0} trials/sec",
         reference_wall * 1e3,
         trials as f64 / reference_wall,
@@ -311,7 +274,6 @@ fn main() -> ExitCode {
         trials as f64 / lanes_wall,
     );
     println!("speedup lanes/reference  : {speedup_lanes_ref:.2}x");
-    println!("speedup lanes/legacy     : {speedup_lanes_legacy:.2}x");
     println!(
         "obs overhead (metrics on vs off): {:+.2}%",
         obs_overhead * 100.0

@@ -1,11 +1,11 @@
 //! Experiment harness: one function per figure of the DATE 2003 paper.
 //!
-//! Each experiment prints the series the paper plots and writes the raw
-//! data as CSV under `experiments/`. The binaries in `src/bin` are thin
-//! wrappers; `all_experiments` runs everything and is what EXPERIMENTS.md
-//! is produced from.
-
-pub mod timing;
+//! Each experiment returns the report the paper's figure is checked
+//! against and writes the raw series as CSV under `experiments/`.
+//! [`EXPERIMENTS`] maps each DESIGN.md experiment ID to its function; the
+//! `experiments` binary runs any of them (`experiments all` produces
+//! EXPERIMENTS.md). The crate's other binaries are the gated kernel
+//! benches `mc_bench` and `sweep_bench` and the `fault_smoke` CI drill.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -23,8 +23,8 @@ use ctsdac_dac::architecture::SegmentedDac;
 use ctsdac_dac::errors::CellErrors;
 use ctsdac_dac::jitter::{jitter_snr_measured_db, jitter_snr_theory_db};
 use ctsdac_dac::sine::SineTest;
-use ctsdac_dac::static_metrics::inl_yield_mc;
 use ctsdac_dac::transient::{TransientConfig, TransientSim};
+use ctsdac_dac::yield_engine::{YieldEngine, YieldLimits};
 use ctsdac_layout::centroid::array_errors_with_split;
 use ctsdac_layout::gradient::GradientModel;
 use ctsdac_layout::grid::ArrayGrid;
@@ -35,24 +35,33 @@ use ctsdac_layout::Floorplan;
 use ctsdac_runtime::{run_chunks, ExecPolicy, McPlan, PoolConfig};
 use ctsdac_stats::sample::seeded_rng;
 
-/// Parses a bench binary's argv for `--jobs N` (default 1). Unknown flags
-/// and malformed values are reported on stderr and fall back to 1, so the
-/// regeneration harness never aborts on argv trouble.
-pub fn jobs_from_args(argv: impl Iterator<Item = String>) -> usize {
-    let mut argv = argv.peekable();
-    let mut jobs = 1usize;
-    while let Some(flag) = argv.next() {
-        if flag == "--jobs" {
-            match argv.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => jobs = n,
-                other => eprintln!("ignoring bad --jobs value {other:?}; using 1"),
-            }
-        } else {
-            eprintln!("ignoring unknown flag {flag:?}");
-        }
-    }
-    jobs
-}
+/// One experiment of the DESIGN.md index: its ID and the function that
+/// runs it. The argument is the worker count (`--jobs`); only FIG4-CAS
+/// and SAT-YIELD use it, and their output is identical for every count.
+pub type Experiment = (&'static str, fn(usize) -> String);
+
+/// Every experiment, in the order `experiments all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("FIG3-SAT", |_| fig3_saturation()),
+    ("FIG3-POLE", |_| fig3_poles()),
+    ("FIG4-CAS", fig4_design_space_jobs),
+    ("AREA-CMP", |_| area_comparison()),
+    ("FIG6-SETTLE", |_| fig6_transient()),
+    ("FIG8-SFDR", |_| fig8_spectrum()),
+    ("EQ1-YIELD", |_| inl_yield()),
+    ("FIG5-LAYOUT", |_| switching_schemes()),
+    ("SEG-SWEEP", |_| segmentation()),
+    ("SFDR-BW", |_| sfdr_bandwidth()),
+    ("LATCH-XING", |_| latch_crossing()),
+    ("IMD3", |_| two_tone_imd()),
+    ("DECODER", |_| decoder_cost()),
+    ("SAT-YIELD", saturation_yield_jobs),
+    ("CAL-EXT", |_| calibration_tradeoff()),
+    ("SENS", |_| sensitivity()),
+    ("PARETO", |_| pareto()),
+    ("GLITCH-SEG", |_| glitch_segmentation()),
+    ("JITTER-EXT", |_| jitter_sweep()),
+];
 
 /// Output directory for CSV series (`experiments/` at the workspace root).
 pub fn out_dir() -> PathBuf {
@@ -185,14 +194,9 @@ pub fn fig3_poles() -> String {
 }
 
 /// FIG4-CAS — the cascoded design-space limit surface of Fig. 4 and the
-/// admissible volume under each condition.
-pub fn fig4_design_space() -> String {
-    fig4_design_space_jobs(1)
-}
-
-/// [`fig4_design_space`] with the cascode surface evaluated on the
-/// supervised worker pool, one chunk per `(condition, grid row)` pair.
-/// The surface is a pure function of the chunk index, so the output is
+/// admissible volume under each condition. The surface is evaluated on
+/// the supervised worker pool, one chunk per `(condition, grid row)`
+/// pair; it is a pure function of the chunk index, so the output is
 /// identical for every `jobs` value.
 pub fn fig4_design_space_jobs(jobs: usize) -> String {
     const GRID: usize = 14;
@@ -443,7 +447,7 @@ pub fn fig8_spectrum() -> String {
 }
 
 /// EQ1-YIELD — Monte-Carlo INL yield across σ for several resolutions,
-/// validating eq. (1).
+/// validating eq. (1), on the lane yield engine.
 pub fn inl_yield() -> String {
     let base = DacSpec::paper_12bit();
     let mut report = String::new();
@@ -464,8 +468,10 @@ pub fn inl_yield() -> String {
             let sigma = sigma_spec * factor;
             let trials = if n <= 10 { 600 } else { 300 };
             let mut rng = seeded_rng(1000 + n as u64 * 10 + (factor * 10.0) as u64);
-            let y = inl_yield_mc(&dac, sigma, 0.5, trials, &mut rng)
-                .expect("positive limit and non-zero trials");
+            let y = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb())
+                .and_then(|mut engine| engine.run_lanes::<8, _>(trials, &mut rng))
+                .expect("finite sigma and non-zero trials")
+                .inl;
             writeln!(report, "    sigma = {factor:.1} x spec: yield = {y}").expect("write");
             rows.push(format!("{n},{sigma},{factor},{},{}", y.estimate(), trials));
         }
@@ -695,13 +701,8 @@ pub fn sfdr_bandwidth() -> String {
 }
 
 /// SAT-YIELD — Monte-Carlo validation of the statistical saturation
-/// condition (eq. (8)/(9)).
-pub fn saturation_yield() -> String {
-    saturation_yield_jobs(1)
-}
-
-/// [`saturation_yield`] with the past-the-line Monte-Carlo runs executed on
-/// the supervised worker pool. Every run is a function of its `McPlan`
+/// condition (eq. (8)/(9)). The past-the-line runs execute on the
+/// supervised worker pool; every run is a function of its `McPlan`
 /// alone, so the numbers are identical for every `jobs` value.
 pub fn saturation_yield_jobs(jobs: usize) -> String {
     use ctsdac_core::validate::{
@@ -1163,4 +1164,24 @@ pub fn jitter_sweep() -> String {
     )
     .expect("write");
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn experiment_ids_are_unique_and_indexed_in_design_md() {
+        let design = include_str!("../../../DESIGN.md");
+        for (i, (id, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|(other, _)| other != id),
+                "duplicate experiment ID {id}"
+            );
+            assert!(
+                design.contains(&format!("\n| {id} |")),
+                "{id} has no row in DESIGN.md's experiment index"
+            );
+        }
+    }
 }

@@ -283,15 +283,17 @@ fn solve_linear<const N: usize>(mut a: [[f64; N]; N], mut b: [f64; N]) -> Option
                 piv = row;
             }
         }
-        if !(a[piv][col].abs() > 1e-30) {
+        // A NaN pivot compares as `None` and is singular too.
+        if a[piv][col].abs().partial_cmp(&1e-30) != Some(core::cmp::Ordering::Greater) {
             return None;
         }
         a.swap(col, piv);
         b.swap(col, piv);
+        let pivot = a[col];
         for row in col + 1..N {
-            let k = a[row][col] / a[col][col];
-            for c in col..N {
-                a[row][c] -= k * a[col][c];
+            let k = a[row][col] / pivot[col];
+            for (x, p) in a[row][col..].iter_mut().zip(&pivot[col..]) {
+                *x -= k * p;
             }
             b[row] -= k * b[col];
         }
@@ -741,6 +743,10 @@ fn simple_residuals_and_jacobian(
 /// Assembles the reported [`OperatingPoint`] of a simple-cell solve from an
 /// accepted iterate; shared by the scalar path and the lane kernel.
 #[inline]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the solve's inputs and accepted iterate, passed by value from two call sites"
+)]
 fn assemble_simple_op(
     cs: &Mosfet,
     sw: &Mosfet,
@@ -1374,6 +1380,19 @@ mod tests {
     use super::*;
     use crate::bias::{sw_gate_bounds_simple, OptimumBias};
     use ctsdac_process::Technology;
+
+    #[test]
+    fn solve_linear_rejects_singular_and_nan_pivots() {
+        assert_eq!(
+            solve_linear([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0]),
+            Some([1.0, 2.0])
+        );
+        assert_eq!(solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]), None);
+        assert_eq!(
+            solve_linear([[f64::NAN, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+            None
+        );
+    }
 
     fn cell_and_env() -> (SizedCell, CellEnvironment) {
         let tech = Technology::c035();

@@ -288,10 +288,7 @@ pub fn optimal_gate_numeric(
     // Topology is already validated above, so the per-point evaluation
     // cannot fail; map the impossible arm to -inf, which the maximiser
     // ignores.
-    let f = |v: f64| match rout_simple_at_gate(cell, env, v) {
-        Ok(r) => r,
-        Err(_) => f64::NEG_INFINITY,
-    };
+    let f = |v: f64| rout_simple_at_gate(cell, env, v).unwrap_or(f64::NEG_INFINITY);
     let mut c = b - phi * (b - a);
     let mut d = a + phi * (b - a);
     let (mut fc, mut fd) = (f(c), f(d));

@@ -1378,6 +1378,10 @@ fn decode_point(s: &str) -> Option<DesignPoint> {
     })
 }
 
+#[allow(
+    clippy::ptr_arg,
+    reason = "passed by name as the journal encoder of `Vec<DesignPoint>` row results"
+)]
 fn encode_row(row: &Vec<DesignPoint>) -> String {
     row.iter().map(encode_point).collect::<Vec<_>>().join(";")
 }

@@ -94,7 +94,8 @@ pub fn residual_sigma_prediction(config: &CalibrationConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::static_metrics::{inl_yield_mc, TransferFunction};
+    use crate::static_metrics::TransferFunction;
+    use crate::yield_engine::{YieldEngine, YieldLimits};
     use ctsdac_core::DacSpec;
     use ctsdac_stats::sample::seeded_rng;
     use ctsdac_stats::Summary;
@@ -198,7 +199,10 @@ mod tests {
         let config = CalibrationConfig::new(8, 0.02, 1e-4);
         let residual = residual_sigma_prediction(&config);
         let mut rng = seeded_rng(5);
-        let y = inl_yield_mc(&d, residual, 0.5, 100, &mut rng).expect("valid MC setup");
+        let y = YieldEngine::new(&d, residual, YieldLimits::half_lsb())
+            .and_then(|mut engine| engine.run_lanes::<8, _>(100, &mut rng))
+            .expect("valid MC setup")
+            .inl;
         assert!(y.estimate() > 0.95, "yield {}", y.estimate());
         assert!(residual < spec.sigma_unit_spec());
     }

@@ -211,8 +211,12 @@ impl TransferFunction {
 }
 
 /// Monte-Carlo INL yield: fraction of mismatch realisations with
-/// `max|INL| < inl_limit` (LSB). This is the experiment that validates the
-/// analytic spec of eq. (1).
+/// `max|INL| < inl_limit` (LSB), the estimate that validates the analytic
+/// spec of eq. (1).
+///
+/// Kept only for the `perfbench` `inl-yield` ladder (see the
+/// [`yield_engine`](crate::yield_engine) module doc); every other caller
+/// runs `YieldEngine::run_lanes`, whose INL yield is the same per stream.
 ///
 /// # Errors
 ///
@@ -256,6 +260,10 @@ pub fn inl_yield_mc<R: Rng + ?Sized>(
 /// that the INL is below 0.5 LSB for reasonable segmentation ratios" —
 /// this estimator lets that claim be checked numerically.
 ///
+/// Kept only for the `perfbench` `inl-yield` ladder (see the
+/// [`yield_engine`](crate::yield_engine) module doc); every other caller
+/// runs `YieldEngine::run_lanes`, whose DNL yield is the same per stream.
+///
 /// # Errors
 ///
 /// [`MetricError::InvalidLimit`] if `dnl_limit` is not positive and finite;
@@ -277,6 +285,10 @@ pub fn dnl_yield_mc<R: Rng + ?Sized>(
 
 /// Monte-Carlo monotonicity yield: fraction of realisations with a
 /// monotone transfer characteristic (equivalently `DNL > −1` everywhere).
+///
+/// Kept only for the `perfbench` `inl-yield` ladder (see the
+/// [`yield_engine`](crate::yield_engine) module doc); every other caller
+/// runs `YieldEngine::run_lanes`, whose monotonicity yield is the same per stream.
 ///
 /// # Errors
 ///

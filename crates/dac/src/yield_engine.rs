@@ -15,7 +15,10 @@
 //! The legacy [`inl_yield_mc`](crate::static_metrics::inl_yield_mc) loop
 //! and its DNL / monotonicity siblings draw the same per-trial stream and
 //! apply the same pass predicates, so each of their single-metric yields
-//! equals the engine's for the same seed.
+//! equals the engine's for the same seed. Every caller in the workspace
+//! runs the engine; the loops remain only as the workload of the
+//! benchmark's `inl-yield` ladder (`perfbench/src/ladder.rs`) and are
+//! deleted when that ladder moves onto the engine (ROADMAP item 3).
 //!
 //! # The screened lane classifier
 //!
@@ -557,7 +560,7 @@ impl<'a> YieldEngine<'a> {
         let mut bd = [[0.0f64; W]; 2];
         let mut boundary_monotone = [true; W];
         let mut t = 1usize;
-        while t + 1 <= n_unary {
+        while t < n_unary {
             let cm1 = &ls.unary_cum[t - 1];
             let c = &ls.unary_cum[t];
             let cp1 = &ls.unary_cum[t + 1];

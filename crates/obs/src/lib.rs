@@ -289,8 +289,8 @@ impl Counter {
     }
 }
 
-const COUNTER_ZERO: AtomicU64 = AtomicU64::new(0);
-static COUNTERS: [AtomicU64; Counter::ALL.len()] = [COUNTER_ZERO; Counter::ALL.len()];
+static COUNTERS: [AtomicU64; Counter::ALL.len()] =
+    [const { AtomicU64::new(0) }; Counter::ALL.len()];
 
 /// Add `n` to a counter (no-op while metrics are disabled).
 #[inline]
@@ -363,7 +363,7 @@ impl HistogramId {
 /// 4–7 → 3, …; everything ≥ 2^62 lands in the last bucket.
 const HIST_BUCKETS: usize = 64;
 static HISTOGRAMS: [AtomicU64; HistogramId::ALL.len() * HIST_BUCKETS] =
-    [COUNTER_ZERO; HistogramId::ALL.len() * HIST_BUCKETS];
+    [const { AtomicU64::new(0) }; HistogramId::ALL.len() * HIST_BUCKETS];
 
 /// The log2 bucket index for a recorded value.
 pub fn bucket_of(value: u64) -> usize {

@@ -193,7 +193,7 @@ mod tests {
         run_journaled(
             policy,
             &meta(chunks),
-            |s| decode_f64(s),
+            decode_f64,
             |v| encode_f64(*v),
             square,
         )

@@ -134,7 +134,7 @@ fn cancelled_run_journals_only_pre_cancel_chunks() {
     let err = run_journaled(
         &policy,
         &meta(),
-        |s| decode_f64(s),
+        decode_f64,
         |v| encode_f64(*v),
         |ctx: &ChunkCtx<'_>| {
             if ctx.chunk == CANCEL_AT {
@@ -162,7 +162,7 @@ fn resume_after_cancel_recomputes_dropped_chunks_bit_identically() {
     let clean: Supervised<Vec<f64>> = run_journaled(
         &ExecPolicy::sequential(),
         &meta(),
-        |s| decode_f64(s),
+        decode_f64,
         |v| encode_f64(*v),
         |ctx: &ChunkCtx<'_>| Ok(value_of(ctx.chunk)),
     )
@@ -176,7 +176,7 @@ fn resume_after_cancel_recomputes_dropped_chunks_bit_identically() {
     run_journaled(
         &policy,
         &meta(),
-        |s| decode_f64(s),
+        decode_f64,
         |v| encode_f64(*v),
         |ctx: &ChunkCtx<'_>| {
             if ctx.chunk == CANCEL_AT {
@@ -194,7 +194,7 @@ fn resume_after_cancel_recomputes_dropped_chunks_bit_identically() {
     let resumed = run_journaled(
         &ExecPolicy::sequential().checkpoint_at(&path).resuming(),
         &meta(),
-        |s| decode_f64(s),
+        decode_f64,
         |v| encode_f64(*v),
         |ctx: &ChunkCtx<'_>| {
             recomputed.fetch_add(1, Ordering::SeqCst);
@@ -224,7 +224,7 @@ fn parallel_cancel_never_journals_more_than_observed() {
         let err = run_journaled(
             &policy,
             &meta(),
-            |s| decode_f64(s),
+            decode_f64,
             |v| encode_f64(*v),
             |ctx: &ChunkCtx<'_>| {
                 if ctx.chunk == CANCEL_AT {
@@ -243,7 +243,7 @@ fn parallel_cancel_never_journals_more_than_observed() {
         let resumed = run_journaled(
             &ExecPolicy::with_jobs(4).checkpoint_at(&path).resuming(),
             &meta(),
-            |s| decode_f64(s),
+            decode_f64,
             |v| encode_f64(*v),
             |ctx: &ChunkCtx<'_>| Ok(value_of(ctx.chunk)),
         )

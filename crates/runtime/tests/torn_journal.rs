@@ -31,13 +31,7 @@ fn worker(ctx: &ChunkCtx<'_>) -> Result<f64, String> {
 }
 
 fn run(policy: &ExecPolicy) -> Result<Supervised<Vec<f64>>, RuntimeError> {
-    run_journaled(
-        policy,
-        &meta(),
-        |s| decode_f64(s),
-        |v| encode_f64(*v),
-        worker,
-    )
+    run_journaled(policy, &meta(), decode_f64, |v| encode_f64(*v), worker)
 }
 
 fn tmp(name: &str) -> PathBuf {

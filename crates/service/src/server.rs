@@ -123,7 +123,12 @@ struct Shared {
     store: Option<Arc<Store>>,
     shutdown: AtomicBool,
     queue: Mutex<ConnQueue>,
-    wake: Condvar,
+    /// Signalled for each connection pushed onto `serve`; only workers
+    /// wait on it, so every wake reaches a thread that can serve.
+    serve_ready: Condvar,
+    /// Signalled for each shed connection pushed onto `reject`; only the
+    /// shed thread waits on it (workers drain rejects opportunistically).
+    reject_ready: Condvar,
 }
 
 impl Shared {
@@ -132,7 +137,8 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         // Self-connect so a blocked `accept()` observes the flag.
         let _ = TcpStream::connect(self.addr);
-        self.wake.notify_all();
+        self.serve_ready.notify_all();
+        self.reject_ready.notify_all();
     }
 
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, ConnQueue> {
@@ -210,8 +216,8 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let store = match &cfg.store {
         None => None,
         Some(store_cfg) => {
-            let (store, recovery) = Store::open(store_cfg.clone())
-                .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))?;
+            let (store, recovery) =
+                Store::open(store_cfg.clone()).map_err(|e| io::Error::other(e.to_string()))?;
             // Prime before registering the hook: recovered entries that
             // do not fit in memory stay on disk instead of being
             // tombstoned away.
@@ -230,7 +236,8 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         store,
         shutdown: AtomicBool::new(false),
         queue: Mutex::new(ConnQueue::default()),
-        wake: Condvar::new(),
+        serve_ready: Condvar::new(),
+        reject_ready: Condvar::new(),
         addr,
         cfg,
     });
@@ -299,12 +306,12 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                 // buffer without bound. `stream` drops here.
             }
             drop(queue);
-            shared.wake.notify_one();
+            shared.reject_ready.notify_one();
             continue;
         }
         queue.serve.push_back(stream);
         drop(queue);
-        shared.wake.notify_one();
+        shared.serve_ready.notify_one();
     }
 }
 
@@ -321,6 +328,12 @@ fn worker_loop(shared: &Shared) {
             // this backstops the shed thread when a trickling client has
             // it tied up in a (bounded) drain.
             if let Some((stream, err)) = queue.reject.pop_front() {
+                // This wake may have been meant for a queued connection:
+                // pass it on to another worker rather than leave that
+                // connection waiting behind this (bounded) reject.
+                if !queue.serve.is_empty() {
+                    shared.serve_ready.notify_one();
+                }
                 break Some(Job::Reject(stream, err));
             }
             if let Some(s) = queue.serve.pop_front() {
@@ -330,7 +343,7 @@ fn worker_loop(shared: &Shared) {
                 break None;
             }
             queue = shared
-                .wake
+                .serve_ready
                 .wait_timeout(queue, Duration::from_millis(100))
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .0;
@@ -372,7 +385,7 @@ fn shed_loop(shared: &Shared) {
                 break None;
             }
             queue = shared
-                .wake
+                .reject_ready
                 .wait_timeout(queue, Duration::from_millis(100))
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .0;

@@ -150,7 +150,7 @@ impl YieldEstimate {
     /// NaN bounds.
     pub fn wilson_interval(&self, z: f64) -> (f64, f64) {
         let p = self.estimate().clamp(0.0, 1.0);
-        if !(z > 0.0) || !z.is_finite() {
+        if !(z > 0.0 && z.is_finite()) {
             return (p, p);
         }
         let n = self.trials as f64;
@@ -267,7 +267,7 @@ impl YieldTest {
     /// `(0, 1)` or `z` is not positive and finite;
     /// [`StatsError::NoTrials`] if `max_trials == 0`.
     pub fn new(target: f64, z: f64, max_trials: u64, batch: u64) -> Result<Self, StatsError> {
-        if !(target > 0.0 && target < 1.0) || !(z > 0.0 && z.is_finite()) {
+        if !(target > 0.0 && target < 1.0 && z > 0.0 && z.is_finite()) {
             return Err(StatsError::InvalidFraction);
         }
         if max_trials == 0 {

@@ -54,7 +54,7 @@ impl SplitMix64 {
     }
 
     /// Next 64-bit output.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -86,7 +86,7 @@ impl Xoshiro256PlusPlus {
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut mix = SplitMix64::new(seed);
         Self {
-            s: [mix.next(), mix.next(), mix.next(), mix.next()],
+            s: core::array::from_fn(|_| mix.next_u64()),
         }
     }
 
@@ -129,13 +129,13 @@ impl Xoshiro256PlusPlus {
     /// assert_ne!(stream_rng(7, 0).next_u64(), stream_rng(7, 1).next_u64());
     /// ```
     pub fn seed_from_stream(seed: u64, stream: u64) -> Self {
-        let base = SplitMix64::new(seed).next();
+        let base = SplitMix64::new(seed).next_u64();
         // Odd constant (2^64 / phi rounded to odd) spreads consecutive
         // stream indices across the word before the final expansion.
         let word = base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ !stream.rotate_left(32);
         let mut mix = SplitMix64::new(word);
         Self {
-            s: [mix.next(), mix.next(), mix.next(), mix.next()],
+            s: core::array::from_fn(|_| mix.next_u64()),
         }
     }
 }
@@ -264,7 +264,8 @@ pub trait UniformSample: Sized {
 
 impl UniformSample for f64 {
     fn sample_range<R: Rng + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
-        if !(hi > lo) {
+        // NaN bounds compare as `None` and degrade to `lo` too.
+        if hi.partial_cmp(&lo) != Some(core::cmp::Ordering::Greater) {
             return lo;
         }
         // The standard affine map; never reaches `hi` because
@@ -345,13 +346,13 @@ mod tests {
         // Reference outputs for seed 1234567 from the public-domain
         // splitmix64.c by Vigna.
         let mut mix = SplitMix64::new(1234567);
-        let first = mix.next();
-        let second = mix.next();
+        let first = mix.next_u64();
+        let second = mix.next_u64();
         assert_ne!(first, second);
         // Determinism: a fresh expander reproduces the stream.
         let mut again = SplitMix64::new(1234567);
-        assert_eq!(again.next(), first);
-        assert_eq!(again.next(), second);
+        assert_eq!(again.next_u64(), first);
+        assert_eq!(again.next_u64(), second);
     }
 
     #[test]
@@ -404,6 +405,8 @@ mod tests {
         // Degenerate range pins to the start.
         assert_eq!(r.gen_range(2.0..2.0), 2.0);
         assert_eq!(r.gen_range(3.0..1.0), 3.0);
+        assert_eq!(r.gen_range(3.0..f64::NAN), 3.0);
+        assert!(r.gen_range(f64::NAN..1.0).is_nan());
     }
 
     #[test]

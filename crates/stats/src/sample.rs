@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 pub use crate::rng::seeded_rng;
 
 /// Rightmost layer edge `R` of the 256-layer standard-normal ziggurat.
-const ZIG_R: f64 = 3.654_152_885_361_008_8;
+const ZIG_R: f64 = 3.654_152_885_361_009;
 /// Common layer area `V` (each of the 256 layers, tail included).
 const ZIG_V: f64 = 4.928_673_233_99e-3;
 /// Magnitude resolution: the top 52 bits of a draw form the uniform.

@@ -9,7 +9,7 @@ use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::DacSpec;
 use ctsdac::dac::architecture::SegmentedDac;
 use ctsdac::dac::calibration::{residual_sigma_prediction, CalibrationConfig};
-use ctsdac::dac::static_metrics::inl_yield_mc;
+use ctsdac::dac::yield_engine::{YieldEngine, YieldLimits};
 use ctsdac::process::extract::{extract_pelgrom, MismatchSample};
 use ctsdac::process::{Pelgrom, Technology};
 use ctsdac::stats::sample::seeded_rng;
@@ -51,10 +51,15 @@ fn main() {
     let sigma_small = spec.sigma_unit_spec() * 4.0; // area / 16
     let config = CalibrationConfig::new(6, 4.0 * sigma_small, sigma_small / 50.0);
     let residual = residual_sigma_prediction(&config);
-    let mut rng = seeded_rng(3);
-    let yield_raw = inl_yield_mc(&dac, sigma_small, 0.5, 100, &mut rng).expect("valid MC setup");
-    let mut rng2 = seeded_rng(3);
-    let yield_cal = inl_yield_mc(&dac, residual, 0.5, 100, &mut rng2).expect("valid MC setup");
+    // INL yield over 100 trials, the same seeded draws for both arrays.
+    let inl_yield = |sigma: f64| {
+        YieldEngine::new(&dac, sigma, YieldLimits::half_lsb())
+            .and_then(|mut engine| engine.run_lanes::<8, _>(100, &mut seeded_rng(3)))
+            .expect("valid MC setup")
+            .inl
+    };
+    let yield_raw = inl_yield(sigma_small);
+    let yield_cal = inl_yield(residual);
     println!(
         "\ncalibration: area/16 intrinsic yield {:.2} -> trimmed yield {:.2} \
          (residual sigma {:.4} %)",

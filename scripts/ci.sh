@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
 # Offline CI gate for the ctsdac workspace.
 #
-# 1. Format, hermetic build + tests: `cargo fmt --all -- --check` fails on
-#    any unformatted workspace source (perfbench is a workspace of its own
-#    and is not checked); everything else runs with --offline, so a
-#    network dependency creeping back into the tree fails the build here.
+# 1. Format, lint, hermetic build + tests: `cargo fmt --all -- --check`
+#    fails on any unformatted workspace source and `cargo clippy
+#    --workspace --all-targets -- -D warnings` on any clippy warning
+#    (perfbench is a workspace of its own and is checked by neither);
+#    everything runs with --offline, so a network dependency creeping
+#    back into the tree fails the build here.
 # 2. Property suites: the proptest-backed suites are feature-gated so the
 #    default build stays dependency-free; CI opts in explicitly. A
 #    dedicated lane-differential stage then re-runs the lane-equivalence
@@ -73,6 +75,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> format (cargo fmt --check)"
 cargo fmt --all -- --check
+
+echo "==> lint (cargo clippy, warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> build (offline)"
 cargo build --offline --workspace
@@ -207,8 +212,8 @@ fi
 mc_smoke_json="${TMPDIR:-/tmp}/ctsdac_mc_smoke.json"
 cargo run --offline -q -p ctsdac-bench --bin mc_bench -- \
     --trials 200 --reps 1 --out "$mc_smoke_json" --budget "$mc_budget"
-for key in '"schema": "ctsdac-mc-bench-v2"' \
-           '"bit_identical_lanes_vs_reference": true' '"legacy"' \
+for key in '"schema": "ctsdac-mc-bench-v3"' \
+           '"bit_identical_lanes_vs_reference": true' \
            '"reference"' '"lanes"' '"codes_per_trial"' \
            '"per_trial_work_budget"' '"speedup_lanes_over_reference"'; do
     if ! grep -q "$key" "$mc_smoke_json"; then

@@ -12,8 +12,8 @@ use ctsdac::core::DacSpec;
 use ctsdac::dac::architecture::SegmentedDac;
 use ctsdac::dac::errors::CellErrors;
 use ctsdac::dac::sine::SineTest;
-use ctsdac::dac::static_metrics::inl_yield_mc;
 use ctsdac::dac::transient::{TransientConfig, TransientSim};
+use ctsdac::dac::yield_engine::{YieldEngine, YieldLimits};
 use ctsdac::stats::sample::seeded_rng;
 
 /// The paper's full design flow hits its dynamic targets: a statistically
@@ -79,7 +79,10 @@ fn sized_mismatch_budget_delivers_inl_yield() {
     let spec = DacSpec::new(10, 4, 0.997, base.env, base.tech);
     let dac = SegmentedDac::new(&spec);
     let mut rng = seeded_rng(2024);
-    let y = inl_yield_mc(&dac, spec.sigma_unit_spec(), 0.5, 500, &mut rng).expect("valid MC setup");
+    let y = YieldEngine::new(&dac, spec.sigma_unit_spec(), YieldLimits::half_lsb())
+        .and_then(|mut engine| engine.run_lanes::<8, _>(500, &mut rng))
+        .expect("valid MC setup")
+        .inl;
     assert!(
         y.estimate() >= 0.99,
         "MC yield {} below the 99.7 % target band",

@@ -218,3 +218,32 @@ fn tenant_fairness_isolates_a_greedy_client() {
     server.shutdown();
     server.join();
 }
+
+/// One worker plus the live shed thread, sequential requests: each
+/// accepted connection must wake the worker at once. An accept wake that
+/// reaches the shed thread instead leaves the connection waiting out the
+/// worker's 100 ms poll.
+#[test]
+fn sequential_requests_never_wait_out_the_worker_poll() {
+    let server = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut slowest = Duration::ZERO;
+    for i in 0..60 {
+        let t0 = Instant::now();
+        let reply = get(addr, "/v1/healthz").expect("healthz");
+        let took = t0.elapsed();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert!(
+            took < Duration::from_millis(50),
+            "request {i} took {took:?}: the accept wake missed the worker"
+        );
+        slowest = slowest.max(took);
+    }
+    eprintln!("slowest of 60 sequential requests: {slowest:?}");
+    server.shutdown();
+    server.join();
+}
