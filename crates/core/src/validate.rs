@@ -101,14 +101,25 @@ impl fmt::Display for SaturationYield {
 /// The fixed (per-design-point) data of one saturation-yield trial,
 /// shared by every harness so all of them simulate the identical
 /// physical experiment.
+///
+/// The device sigmas are resolved once here, from the sized gate areas,
+/// by the same [`Pelgrom::sigma_vt`] / [`Pelgrom::sigma_beta_rel`]
+/// expressions [`Pelgrom::draw`] evaluates: a trial only scales standard
+/// normals by them, in `draw`'s order (ΔV_T, then Δβ/β, per device), so
+/// its counts are bit-identical to drawing through `Pelgrom::draw`.
 #[derive(Debug, Clone, Copy)]
 struct TrialModel {
     gate: f64,
     lower: f64,
     upper: f64,
-    pelgrom: Pelgrom,
-    wl_cs: f64,
-    wl_sw: f64,
+    /// σ(ΔV_T) of the current-source device, in V.
+    sigma_vt_cs: f64,
+    /// σ(Δβ/β) of the current-source device.
+    sigma_beta_cs: f64,
+    /// σ(ΔV_T) of each switch device, in V.
+    sigma_vt_sw: f64,
+    /// σ(Δβ/β) of each switch device.
+    sigma_beta_sw: f64,
     vov_cs: f64,
     vov_sw: f64,
     sigma_i_fs: f64,
@@ -139,9 +150,10 @@ impl TrialModel {
             gate,
             lower: bounds.lower,
             upper: bounds.upper,
-            pelgrom,
-            wl_cs,
-            wl_sw,
+            sigma_vt_cs: pelgrom.sigma_vt(wl_cs),
+            sigma_beta_cs: pelgrom.sigma_beta_rel(wl_cs),
+            sigma_vt_sw: pelgrom.sigma_vt(wl_sw),
+            sigma_beta_sw: pelgrom.sigma_beta_rel(wl_sw),
             vov_cs,
             vov_sw,
             sigma_i_fs,
@@ -156,18 +168,20 @@ impl TrialModel {
     /// inside the randomly shifted bounds of both complementary switches.
     fn trial<R: Rng + ?Sized>(&self, rng: &mut R, sampler: &mut NormalSampler) -> bool {
         // Shared (per-cell) variations.
-        let d_cs = self.pelgrom.draw(rng, sampler, self.wl_cs);
-        let di_rel = -2.0 * d_cs.delta_vt / self.vov_cs;
-        let dvov_cs = 0.5 * self.vov_cs * (di_rel - d_cs.delta_beta_rel);
+        let dvt_cs = self.sigma_vt_cs * sampler.sample(rng);
+        let dbeta_cs = self.sigma_beta_cs * sampler.sample(rng);
+        let di_rel = -2.0 * dvt_cs / self.vov_cs;
+        let dvov_cs = 0.5 * self.vov_cs * (di_rel - dbeta_cs);
         // Global variations moving the upper bound.
         let d_swing = self.swing
             * (self.sigma_i_fs * sampler.sample(rng) + self.sigma_rl_rel * sampler.sample(rng));
         // Both complementary switches must survive.
         (0..2).all(|_| {
-            let d_sw = self.pelgrom.draw(rng, sampler, self.wl_sw);
-            let dvov_sw = 0.5 * self.vov_sw * (di_rel - d_sw.delta_beta_rel);
-            let lower = self.lower + dvov_cs + dvov_sw + d_sw.delta_vt;
-            let upper = self.upper - d_swing + d_sw.delta_vt;
+            let dvt_sw = self.sigma_vt_sw * sampler.sample(rng);
+            let dbeta_sw = self.sigma_beta_sw * sampler.sample(rng);
+            let dvov_sw = 0.5 * self.vov_sw * (di_rel - dbeta_sw);
+            let lower = self.lower + dvov_cs + dvov_sw + dvt_sw;
+            let upper = self.upper - d_swing + dvt_sw;
             (lower..=upper).contains(&self.gate)
         })
     }
@@ -346,6 +360,74 @@ mod tests {
 
     fn plan(seed: u64, trials: u64) -> McPlan {
         McPlan::new(seed, trials, MC_CHUNK_TRIALS).expect("plan")
+    }
+
+    /// The trial as it read before the device sigmas moved into
+    /// [`TrialModel`]: each device drawn through [`Pelgrom::draw`] at its
+    /// gate area, which recomputes both sigmas on every call.
+    fn legacy_chunk_passes(
+        model: &TrialModel,
+        spec: &DacSpec,
+        vov_cs: f64,
+        vov_sw: f64,
+        rng: &mut Xoshiro256PlusPlus,
+        len: u64,
+    ) -> u64 {
+        let cell = build_simple_cell(spec, vov_cs, vov_sw, 1);
+        let pelgrom = Pelgrom::new(&spec.tech.nmos);
+        let (wl_cs, wl_sw) = (cell.cs().area(), cell.sw().area());
+        let mut sampler = NormalSampler::new();
+        let mut trial = || {
+            let d_cs = pelgrom.draw(rng, &mut sampler, wl_cs);
+            let di_rel = -2.0 * d_cs.delta_vt / model.vov_cs;
+            let dvov_cs = 0.5 * model.vov_cs * (di_rel - d_cs.delta_beta_rel);
+            let d_swing = model.swing
+                * (model.sigma_i_fs * sampler.sample(rng)
+                    + model.sigma_rl_rel * sampler.sample(rng));
+            (0..2).all(|_| {
+                let d_sw = pelgrom.draw(rng, &mut sampler, wl_sw);
+                let dvov_sw = 0.5 * model.vov_sw * (di_rel - d_sw.delta_beta_rel);
+                let lower = model.lower + dvov_cs + dvov_sw + d_sw.delta_vt;
+                let upper = model.upper - d_swing + d_sw.delta_vt;
+                (lower..=upper).contains(&model.gate)
+            })
+        };
+        (0..len).filter(|_| trial()).count() as u64
+    }
+
+    #[test]
+    fn hoisted_sigmas_keep_the_pelgrom_draw_counts_chunk_by_chunk() {
+        // The six SAT-YIELD points: on the eq. (9) line at three CS
+        // overdrives, then 30/60/90 % of the way past it, where trials
+        // fail and each count depends on every draw.
+        let spec = DacSpec::paper_12bit();
+        let cond = crate::saturation::SaturationCondition::Statistical;
+        let limit = cond.max_vov_sw(&spec, 0.8).expect("feasible");
+        let mut points: Vec<(f64, f64)> = [0.5, 0.8, 1.2]
+            .iter()
+            .map(|&cs| (cs, cond.max_vov_sw(&spec, cs).expect("feasible")))
+            .collect();
+        points.extend(
+            [0.3, 0.6, 0.9].map(|f| (0.8, limit + f * (spec.env.v_out_min() - 0.8 - limit))),
+        );
+        for (i, &(vov_cs, vov_sw)) in points.iter().enumerate() {
+            let model = TrialModel::new(&spec, vov_cs, vov_sw).expect("feasible");
+            let plan = plan(70 + i as u64, 200_000);
+            let mut passes = 0;
+            for c in 0..plan.chunks() {
+                let len = plan.chunk_len(c);
+                let now = model.chunk_passes(&mut plan.chunk_rng(c), len);
+                let then =
+                    legacy_chunk_passes(&model, &spec, vov_cs, vov_sw, &mut plan.chunk_rng(c), len);
+                assert_eq!(now, then, "point {i} chunk {c}");
+                passes += now;
+            }
+            // Past the line the counts must carry failures, or the point
+            // would not exercise the switch draws at all.
+            if i >= 3 {
+                assert!(passes < plan.trials, "point {i}: {passes}");
+            }
+        }
     }
 
     #[test]

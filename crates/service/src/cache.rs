@@ -28,7 +28,7 @@
 //! knowing what a disk is.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ctsdac_obs::{self as obs, Counter};
@@ -38,8 +38,9 @@ type EvictHook = Box<dyn Fn(&str) + Send + Sync>;
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    ready: BTreeMap<String, String>,
-    order: VecDeque<String>,
+    /// `ready` and `order` share one allocation per key.
+    ready: BTreeMap<Arc<str>, String>,
+    order: VecDeque<Arc<str>>,
     pending: Vec<String>,
     /// Sum of `key.len() + value.len()` over `ready`.
     bytes: usize,
@@ -144,7 +145,7 @@ impl ResultCache {
         {
             let mut inner = self.lock();
             for (key, value) in entries {
-                if inner.ready.contains_key(&key) {
+                if inner.ready.contains_key(key.as_str()) {
                     continue;
                 }
                 self.insert_locked(&mut inner, &key, &value, &mut evicted);
@@ -223,11 +224,12 @@ impl ResultCache {
         inner: &mut CacheInner,
         key: &str,
         value: &str,
-        evicted: &mut Vec<String>,
+        evicted: &mut Vec<Arc<str>>,
     ) {
-        inner.order.push_back(key.to_string());
+        let key: Arc<str> = Arc::from(key);
+        inner.order.push_back(Arc::clone(&key));
         inner.bytes += key.len() + value.len();
-        inner.ready.insert(key.to_string(), value.to_string());
+        inner.ready.insert(key, value.to_string());
         while inner.ready.len() > self.capacity || inner.bytes > self.max_bytes {
             let Some(old) = inner.order.pop_front() else {
                 break;
@@ -240,7 +242,7 @@ impl ResultCache {
         obs::record_max(Counter::ServiceCacheBytesHighWater, inner.bytes as u64);
     }
 
-    fn run_evict_hook(&self, evicted: &[String]) {
+    fn run_evict_hook(&self, evicted: &[Arc<str>]) {
         if evicted.is_empty() {
             return;
         }

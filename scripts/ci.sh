@@ -66,6 +66,10 @@
 #    restarted on the same directory. The restarted daemon must serve
 #    the surviving entries as cache hits bit-identical to the pre-crash
 #    responses and report the torn tail in store.records_discarded.
+# 11. Committed experiment outputs: `experiments all` rewrites every file
+#    under experiments/, and the tree must come out unchanged, so the
+#    committed CSVs (and the EXPERIMENTS.md cells that quote them) are
+#    what the code produces.
 #
 # Run from the repository root: sh scripts/ci.sh
 
@@ -480,5 +484,17 @@ rm -rf "$store_dir"
 rm -f "$sv.pre8" "$sv.pre9" "$sv.pre10" "$sv.post8" "$sv.post9" "$sv.post10" \
       "$sv.pre8.n" "$sv.pre9.n" "$sv.post8.n" "$sv.post9.n" \
       "$sv.metrics" "$sv.bye" "$store_log"
+
+echo "==> committed experiment outputs (experiments all, then git diff)"
+cargo run --offline -q -p ctsdac-bench --bin experiments -- all > /dev/null
+if ! git diff --exit-code --stat -- experiments/; then
+    echo "FAIL: experiments all rewrote committed outputs; regenerate and commit them"
+    exit 1
+fi
+untracked=$(git ls-files --others --exclude-standard -- experiments/)
+if [ -n "$untracked" ]; then
+    echo "FAIL: experiments all left outputs the tree does not track:"
+    echo "$untracked"; exit 1
+fi
 
 echo "CI gate passed"

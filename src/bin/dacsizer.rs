@@ -8,12 +8,7 @@
 //!          [--jobs N] [--deadline SECS] [--checkpoint PATH] [--resume]
 //!          [--progress] [--trace[=json|human]] [--metrics-out PATH]
 //!          [--failpoints SPEC] [--failpoint-seed N]
-//! dacsizer --serve HOST:PORT
 //! ```
-//!
-//! `--serve` starts the sizing-as-a-service daemon (the `dacd` binary
-//! with default settings) on the given address instead of running one
-//! flow; see `dacd --help` for the daemon's endpoints and tuning flags.
 //!
 //! Prints a markdown design report followed by a seeded Monte-Carlo check of
 //! the saturation yield at the chosen point. Defaults reproduce the paper's
@@ -231,12 +226,10 @@ fn heartbeat(p: &Progress, units: &str) {
     }
 }
 
-/// What the command line asked for: run the flow, serve the daemon, or
-/// just print usage.
+/// What the command line asked for: run the flow or just print usage.
 #[derive(Debug, Clone, PartialEq)]
 enum Command {
-    Run(Args),
-    Serve(String),
+    Run(Box<Args>),
     Help,
 }
 
@@ -338,13 +331,12 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Command, String> {
                     other => return Err(format!("unknown condition '{other}'")),
                 };
             }
-            "--serve" => return Ok(Command::Serve(value()?)),
             "--help" | "-h" => return Ok(Command::Help),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
     validate(&args)?;
-    Ok(Command::Run(args))
+    Ok(Command::Run(Box::new(args)))
 }
 
 /// Cross-field argument checks, reported as one-line messages.
@@ -405,7 +397,6 @@ fn usage() -> &'static str {
      [--checkpoint PATH] [--resume] [--progress] \
      [--trace[=json|human]] [--metrics-out PATH] \
      [--failpoints SPEC] [--failpoint-seed N]\n\
-     \x20      dacsizer --serve HOST:PORT   (run the sizing daemon; see dacd --help)\n\
      failpoints: kind@site[[key]][:N|N..|1/N],... e.g. panic@pool.chunk[1]:1,\
      nan@pool.chunk[3]:1,delay=50@pool.chunk[0]:1 (implies supervision)\n\
      the simple-cell search is exact and DC-verifies only the chosen design\n\
@@ -415,26 +406,7 @@ fn usage() -> &'static str {
 
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
-        Ok(Command::Run(a)) => a,
-        Ok(Command::Serve(addr)) => {
-            // `dacsizer --serve ADDR` is `dacd --addr ADDR` with default
-            // daemon settings — one binary to script, same service.
-            let cfg = ctsdac::service::ServerConfig {
-                addr,
-                ..Default::default()
-            };
-            return match ctsdac::service::start(cfg) {
-                Ok(handle) => {
-                    println!("listening on {}", handle.local_addr());
-                    handle.join();
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: bind failed: {e}");
-                    ExitCode::from(EXIT_INVALID_ARGS)
-                }
-            };
-        }
+        Ok(Command::Run(a)) => *a,
         Ok(Command::Help) => {
             println!("{}", usage());
             return ExitCode::SUCCESS;
@@ -599,7 +571,7 @@ mod tests {
 
     #[test]
     fn defaults_parse_from_empty_argv() {
-        assert_eq!(parse(&[]), Ok(Command::Run(Args::default())));
+        assert_eq!(parse(&[]), Ok(Command::Run(Box::default())));
     }
 
     #[test]

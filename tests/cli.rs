@@ -203,6 +203,19 @@ fn retired_adaptive_flag_exits_2_as_unknown() {
 }
 
 #[test]
+fn retired_serve_flag_exits_2_as_unknown() {
+    // The daemon has one entry point, `dacd`.
+    let run = dacsizer(&["--serve", "127.0.0.1:0"]);
+    assert_eq!(run.code, Some(2));
+    assert!(
+        run.stderr.contains("unknown flag '--serve'"),
+        "{}",
+        run.stderr
+    );
+    assert!(!run.stdout.contains("listening"), "{}", run.stdout);
+}
+
+#[test]
 fn invalid_yield_exits_2() {
     let run = dacsizer(&["--yield", "1.5"]);
     assert_eq!(run.code, Some(2));
