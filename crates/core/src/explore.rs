@@ -869,7 +869,7 @@ impl DesignSpace {
             kind: "sweep".into(),
             seed: 0,
             chunks: axis.len() as u64,
-            params: self.params_digest(),
+            params: policy.journal_params(|| self.params_digest()),
         };
         let out = run_journaled(policy, &meta, decode_row, encode_row, |ctx| {
             let vov_cs = axis[ctx.chunk as usize];
@@ -916,11 +916,13 @@ impl DesignSpace {
             kind: "optimum".into(),
             seed: 0,
             chunks: axis.len() as u64,
-            params: format!(
-                "{};objective={objective:?};max_settling={}",
-                self.params_digest(),
-                encode_f64(max_settling)
-            ),
+            params: policy.journal_params(|| {
+                format!(
+                    "{};objective={objective:?};max_settling={}",
+                    self.params_digest(),
+                    encode_f64(max_settling)
+                )
+            }),
         };
         let out = run_journaled(policy, &meta, decode_row_best, encode_row_best, |ctx| {
             let vov_cs = axis[ctx.chunk as usize];

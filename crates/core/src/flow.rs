@@ -223,54 +223,22 @@ impl From<RuntimeError> for FlowError {
     }
 }
 
-/// Runs the complete flow.
+/// Runs the complete flow: [`run_flow_supervised`] under
+/// [`ExecPolicy::sequential`], whose one-job pool runs every chunk on the
+/// calling thread.
+///
+/// An armed `pool.chunk` failpoint in the process-global registry (e.g.
+/// from `CTSDAC_FAILPOINTS`) fires here as on any supervised run.
 ///
 /// # Errors
 ///
 /// [`FlowError::EmptyDesignSpace`] if the admissible region is empty at
 /// the requested grid; [`FlowError::Numerical`] if the chosen design fails
-/// to evaluate (bias, pole, or impedance analysis).
+/// to evaluate (bias, pole, or impedance analysis);
+/// [`FlowError::Supervision`] if a chunk of the simple-topology search
+/// still fails after its retries.
 pub fn run_flow(spec: &DacSpec, options: &FlowOptions) -> Result<DesignReport, FlowError> {
-    let _span = obs::span("flow.run");
-    let (topology, topology_reason, rout_required) = choose_topology(spec, options);
-
-    // --- Constrained sizing ---
-    let empty = || {
-        FlowError::EmptyDesignSpace(EmptyDesignSpaceError {
-            condition: options.condition.to_string(),
-        })
-    };
-    let (overdrives, total_area) = match topology {
-        CellTopology::Simple => {
-            let space = DesignSpace::new(spec, options.condition).with_grid(options.grid);
-            let p = space.optimize(options.objective).map_err(|e| match e {
-                ExploreError::EmptyFeasibleRegion { .. } => empty(),
-                ExploreError::NumericalFailure { .. } => FlowError::Numerical {
-                    detail: e.to_string(),
-                },
-            })?;
-            ((p.vov_cs, 0.0, p.vov_sw), p.total_area)
-        }
-        CellTopology::Cascoded => {
-            let space = CascodeSpace::new(spec, options.condition).with_grid(options.grid);
-            let p = match options.objective {
-                Objective::MinArea => space.min_area_point(),
-                _ => space.max_speed_point(),
-            }
-            .ok_or_else(empty)?;
-            ((p.vov_cs, p.vov_cas, p.vov_sw), p.total_area)
-        }
-    };
-
-    assemble_report(
-        spec,
-        options,
-        topology,
-        topology_reason,
-        rout_required,
-        overdrives,
-        total_area,
-    )
+    run_flow_supervised(spec, options, &ExecPolicy::sequential()).map(|s| s.value)
 }
 
 /// Returns a typed cancellation error once the policy's cancel token has
@@ -288,22 +256,24 @@ fn check_cancelled(policy: &ExecPolicy) -> Result<(), FlowError> {
     Ok(())
 }
 
-/// [`run_flow`] with the simple-topology design-space search executed
-/// under runtime supervision (worker pool, retry, deadline,
-/// checkpoint-resume — all per `policy`).
+/// The design flow, with the simple-topology design-space search run
+/// under runtime supervision (retry, deadline, checkpoint-resume — all
+/// per `policy`).
 ///
-/// The cascoded volume search is compact (pure arithmetic over the grid,
-/// no solver in the loop) and still runs inline; the returned supervision
-/// record is then empty. The simple-topology path runs the best-first
-/// optimum search ([`DesignSpace::optimize_supervised`]) with grid rows as
-/// pool chunks and one DC solve on the winner; it is bit-identical to
-/// [`run_flow`] for any job count. `options.adaptive` is ignored.
+/// The simple-topology path runs the best-first optimum search
+/// ([`DesignSpace::optimize_supervised`]) with grid rows as pool chunks
+/// and one DC solve on the winner. At one job the rows run in order on
+/// the calling thread; at more they run on worker threads. The design is
+/// bit-identical for any job count and across resume. The cascoded volume
+/// search is compact (pure arithmetic over the grid, no solver in the
+/// loop) and runs inline; the returned supervision record is then empty.
+/// `options.adaptive` is ignored.
 ///
 /// # Errors
 ///
-/// As [`run_flow`], plus [`FlowError::Supervision`] when the supervised
-/// runtime fails — including a typed [`RuntimeError::Cancelled`] when the
-/// policy's cancel token fires or its deadline expires between stages.
+/// As [`run_flow`], including a typed [`RuntimeError::Cancelled`] when
+/// the policy's cancel token fires or its deadline expires between
+/// stages.
 pub fn run_flow_supervised(
     spec: &DacSpec,
     options: &FlowOptions,
@@ -368,7 +338,7 @@ pub fn run_flow_supervised(
     Ok(supervision.map(|()| report))
 }
 
-/// Topology selection (§3 logic), shared by both flow entry points.
+/// Topology selection (§3 logic).
 fn choose_topology(spec: &DacSpec, options: &FlowOptions) -> (CellTopology, String, f64) {
     let _span = obs::span("flow.choose_topology");
     let rout_required = required_output_impedance(spec.n_bits, spec.env.rl, 0.25);
@@ -407,8 +377,7 @@ fn choose_topology(spec: &DacSpec, options: &FlowOptions) -> (CellTopology, Stri
 }
 
 /// Sizes the cells at the chosen overdrives and runs the dynamic
-/// verification + corner stages — the flow tail shared by [`run_flow`] and
-/// [`run_flow_supervised`].
+/// verification + corner stages — the flow's tail.
 fn assemble_report(
     spec: &DacSpec,
     options: &FlowOptions,

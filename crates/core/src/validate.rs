@@ -187,22 +187,12 @@ impl TrialModel {
     }
 
     /// One plan chunk: `len` trials drawn in order from the chunk's
-    /// stream, returning how many pass. Every saturation-yield path (the
-    /// inline fixed budget, the Wilson test and the pool) runs its trials
-    /// through this body, so all of them report the same counts for the
-    /// same chunks.
+    /// stream, returning how many pass. The pool and the Wilson test run
+    /// their trials through this body, so both report the same counts
+    /// for the same chunks.
     fn chunk_passes(&self, rng: &mut Xoshiro256PlusPlus, len: u64) -> u64 {
         let mut sampler = NormalSampler::new();
         (0..len).filter(|_| self.trial(rng, &mut sampler)).count() as u64
-    }
-
-    /// Runs every chunk of `plan` in order on the calling thread.
-    fn fixed(&self, plan: &McPlan) -> Result<SaturationYield, StatsError> {
-        let passes = (0..plan.chunks())
-            .map(|c| self.chunk_passes(&mut plan.chunk_rng(c), plan.chunk_len(c)))
-            .sum();
-        obs::count(obs::Counter::McTrials, plan.trials);
-        Ok(self.result(YieldEstimate::from_counts(passes, plan.trials)?))
     }
 
     fn result(&self, mc: YieldEstimate) -> SaturationYield {
@@ -215,26 +205,30 @@ impl TrialModel {
 }
 
 /// Runs the saturation-yield Monte Carlo of `plan` at a simple-topology
-/// design point, inline on the calling thread.
+/// design point: [`saturation_yield_supervised`] under
+/// [`ExecPolicy::sequential`], whose one-job pool runs the chunks in
+/// order on the calling thread.
 ///
 /// Chunk `c` draws its trials from `plan.chunk_rng(c)`, and the chunk
-/// counts pool in chunk order. The counts are therefore identical to
-/// [`saturation_yield_supervised`]'s for the same plan at any worker
-/// count, and a [`saturation_yield_sequential`] run that stops after
-/// `n` trials reports the counts of this run with `n` trials.
+/// counts pool in chunk order. The counts are therefore those of
+/// [`saturation_yield_supervised`] for the same plan at any worker count,
+/// and a [`saturation_yield_sequential`] run that stops after `n` trials
+/// reports the counts of this run with `n` trials.
 ///
 /// # Errors
 ///
 /// [`ValidateError::Bias`] if the design point is infeasible even
 /// nominally (eq. (4) violated): there is no bias point whose survival the
-/// experiment could measure.
+/// experiment could measure. [`ValidateError::Runtime`] if a chunk still
+/// fails after its retries (only under an armed `pool.chunk` failpoint).
 pub fn saturation_yield(
     spec: &DacSpec,
     vov_cs: f64,
     vov_sw: f64,
     plan: &McPlan,
 ) -> Result<SaturationYield, ValidateError> {
-    Ok(TrialModel::new(spec, vov_cs, vov_sw)?.fixed(plan)?)
+    saturation_yield_supervised(spec, vov_cs, vov_sw, plan, &ExecPolicy::sequential())
+        .map(|s| s.value)
 }
 
 /// [`saturation_yield`] for callers that hold an RNG instead of a plan:
@@ -243,8 +237,9 @@ pub fn saturation_yield(
 ///
 /// # Errors
 ///
-/// [`ValidateError::Bias`] for a nominally infeasible design point;
-/// [`ValidateError::Stats`] if `trials == 0`.
+/// [`ValidateError::Bias`] for a nominally infeasible design point, even
+/// when `trials == 0`; otherwise [`ValidateError::Stats`] if
+/// `trials == 0`.
 pub fn saturation_yield_mc<R: Rng + ?Sized>(
     spec: &DacSpec,
     vov_cs: f64,
@@ -252,12 +247,12 @@ pub fn saturation_yield_mc<R: Rng + ?Sized>(
     trials: u64,
     rng: &mut R,
 ) -> Result<SaturationYield, ValidateError> {
-    let model = TrialModel::new(spec, vov_cs, vov_sw)?;
-    let plan = McPlan::new(rng.next_u64(), trials, MC_CHUNK_TRIALS).map_err(|e| match e {
-        RuntimeError::Stats(e) => ValidateError::Stats(e),
-        e => ValidateError::Runtime(e),
-    })?;
-    Ok(model.fixed(&plan)?)
+    if trials == 0 {
+        TrialModel::new(spec, vov_cs, vov_sw)?;
+        return Err(ValidateError::Stats(StatsError::NoTrials));
+    }
+    let plan = McPlan::new(rng.next_u64(), trials, MC_CHUNK_TRIALS)?;
+    saturation_yield(spec, vov_cs, vov_sw, &plan)
 }
 
 /// A saturation-yield run that stopped under a sequential Wilson test.
@@ -313,11 +308,11 @@ pub fn saturation_yield_sequential(
     })
 }
 
-/// The supervised counterpart of [`saturation_yield`]: the chunks of
-/// `plan` run on the supervised pool, which adds panic isolation, retry,
-/// deadlines and checkpoint-resume from `policy`. The counts are those
-/// of [`saturation_yield`] for the same plan, for any worker count and
-/// across resume.
+/// The saturation-yield Monte Carlo of `plan` on the supervised pool,
+/// with panic isolation, retry, deadlines and checkpoint-resume from
+/// `policy`. At one job the chunks run in order on the calling thread; at
+/// more they run on worker threads. The counts are the same for any
+/// worker count and across resume.
 ///
 /// # Errors
 ///
@@ -331,12 +326,14 @@ pub fn saturation_yield_supervised(
     policy: &ExecPolicy,
 ) -> Result<Supervised<SaturationYield>, ValidateError> {
     let model = TrialModel::new(spec, vov_cs, vov_sw)?;
-    let params = format!(
-        "sat;vov_cs={};vov_sw={};spec={:?}",
-        ctsdac_runtime::encode_f64(vov_cs),
-        ctsdac_runtime::encode_f64(vov_sw),
-        spec
-    );
+    let params = policy.journal_params(|| {
+        format!(
+            "sat;vov_cs={};vov_sw={};spec={:?}",
+            ctsdac_runtime::encode_f64(vov_cs),
+            ctsdac_runtime::encode_f64(vov_sw),
+            spec
+        )
+    });
     let out = yield_supervised(policy, plan, &params, |rng, _start, len| {
         model.chunk_passes(rng, len)
     })?;

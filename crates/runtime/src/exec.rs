@@ -58,6 +58,13 @@ impl ExecPolicy {
         self.resume = true;
         self
     }
+
+    /// The `params` of a run's journal identity: `digest()` when a
+    /// checkpoint is set, else empty. Only a journal reads them, so a run
+    /// without one skips formatting its digest.
+    pub fn journal_params(&self, digest: impl FnOnce() -> String) -> String {
+        self.checkpoint.is_some().then(digest).unwrap_or_default()
+    }
 }
 
 /// A supervised result together with its supervision record.

@@ -9,10 +9,10 @@
 //! for any `--jobs` value, with faults injected or not, and across
 //! kill + resume from a checkpoint journal.
 //!
-//! The plan is the workspace's one draw scheme: callers that run a plan
-//! inline on their own thread (`ctsdac_core::validate`'s fixed-budget
-//! check and its sequential Wilson test) walk the same chunks in the same
-//! order, so they report the same counts as the pool at the same seed.
+//! The plan is the workspace's one draw scheme: a caller that walks a
+//! plan itself (`ctsdac_core::validate`'s sequential Wilson test) runs the
+//! same chunks in the same order, so it reports the same counts as the
+//! pool at the same seed.
 
 use crate::exec::{run_journaled, ExecPolicy, Supervised};
 use crate::journal::JournalMeta;

@@ -1,11 +1,14 @@
 //! Panic-isolated supervised worker pool.
 //!
-//! [`run_chunks`] executes `total` independent chunks on a fixed set of
-//! worker threads and supervises every one:
+//! [`run_chunks`] executes `total` independent chunks and supervises
+//! every one. At one job the chunks run in order on the calling thread;
+//! at `jobs` ≥ 2 they run on that many scoped worker threads. Both claim
+//! chunks through the same loop and hand their reports to the same
+//! supervisor, so everything below holds at every job count:
 //!
 //! * **Panic isolation** — a panicking chunk is caught with
 //!   `catch_unwind`, reported as a typed [`TaskFault::Panic`], and retried;
-//!   the worker thread survives and the run is never poisoned.
+//!   the thread that ran it survives and the run is never poisoned.
 //! * **Deadlines** — a chunk whose attempt overruns the per-task deadline
 //!   is discarded and retried as [`TaskFault::DeadlineExceeded`].
 //! * **Validation** — a chunk body may reject its own result (e.g. a NaN
@@ -41,6 +44,7 @@ use crate::retry::RetryPolicy;
 use ctsdac_failpoint::{Failure, Registry};
 use ctsdac_obs as obs;
 use ctsdac_stats::StatsError;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -305,15 +309,15 @@ impl UnitCounter {
     }
 }
 
-/// Progress callback type: invoked on the supervising thread after every
-/// chunk completion.
+/// Progress callback type: invoked on the thread that called
+/// [`run_chunks`] after every chunk completion.
 pub type ProgressFn = Arc<dyn Fn(&Progress) + Send + Sync>;
 
 /// Configuration of a supervised run.
 #[derive(Clone, Default)]
 pub struct PoolConfig {
-    /// Worker threads; 0 and 1 both mean single-threaded (values are
-    /// clamped to the number of pending chunks).
+    /// Worker threads, clamped to the number of pending chunks. At 0 or
+    /// 1 no thread is spawned: every chunk runs on the calling thread.
     pub jobs: usize,
     /// Per-chunk wall-clock deadline; `None` disables the check.
     pub deadline: Option<Duration>,
@@ -427,18 +431,23 @@ pub struct RunReport<T> {
     pub computed: u64,
 }
 
-/// Silences panic output from pool worker threads (panics there are
-/// supervised and reported as typed faults; the default hook's backtrace
-/// spam would drown real diagnostics). Other threads keep the previous
-/// hook behaviour.
+thread_local! {
+    /// True while this thread runs a chunk attempt inside `catch_unwind`.
+    static IN_ATTEMPT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Silences panic output from chunk attempts (panics there are supervised
+/// and reported as typed faults; the default hook's backtrace spam would
+/// drown real diagnostics). Attempts run on worker threads at ≥ 2 jobs and
+/// on the caller's thread at one, so the hook keys on the thread-local
+/// attempt flag, not on a thread name. Every other panic keeps the
+/// previous hook's behaviour.
 fn install_quiet_panic_hook() {
     static HOOK: OnceLock<()> = OnceLock::new();
     HOOK.get_or_init(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let supervised = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("ctsdac-worker"));
+            let supervised = IN_ATTEMPT.try_with(Cell::get).unwrap_or(false);
             if !supervised {
                 previous(info);
             }
@@ -482,7 +491,11 @@ fn attempt_chunk<T, W>(
 where
     W: Fn(&ChunkCtx<'_>) -> Result<T, String>,
 {
-    let started = Instant::now();
+    // The clock is read only when there is a deadline to check.
+    let started = deadline.map(|limit| (limit, Instant::now()));
+    // Saved and restored, so an attempt nested inside another one (a
+    // chunk body running its own one-job pool) leaves the outer flag set.
+    let outer = IN_ATTEMPT.replace(true);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         for failure in injected {
             if let Failure::Delay(ms) = failure {
@@ -496,7 +509,7 @@ where
         }
         worker(ctx)
     }));
-    let elapsed = started.elapsed();
+    IN_ATTEMPT.set(outer);
     let result = match outcome {
         Err(payload) => {
             return Err(TaskFault::Panic {
@@ -514,7 +527,8 @@ where
         }
         Ok(Ok(t)) => t,
     };
-    if let Some(limit) = deadline {
+    if let Some((limit, started)) = started {
+        let elapsed = started.elapsed();
         if elapsed > limit {
             return Err(TaskFault::DeadlineExceeded {
                 chunk: ctx.chunk,
@@ -527,7 +541,7 @@ where
     Ok(result)
 }
 
-/// What a worker sends the supervisor for one chunk.
+/// What a claim loop hands the supervisor for one chunk.
 enum ChunkReport<T> {
     Done {
         chunk: u64,
@@ -542,17 +556,17 @@ enum ChunkReport<T> {
     },
 }
 
-/// One worker's claim loop: claims pending chunks in order, runs each
-/// with up to `attempts_budget` attempts and sends its report to the
-/// supervisor. It stops when no chunk is left, the run is cancelled, the
-/// supervisor is gone, or a chunk exhausts its attempts.
+/// One claim loop: claims pending chunks in order, runs each with up to
+/// `1 + cfg.retries` attempts and hands its report to `report`, which
+/// returns false once the supervisor is gone. It stops when no chunk is
+/// left, the run is cancelled, the supervisor is gone, or a chunk
+/// exhausts its attempts.
 fn claim_loop<T, W>(
     cfg: &PoolConfig,
     pending: &[u64],
     next: &AtomicU64,
-    attempts_budget: u32,
     worker: &W,
-    tx: &mpsc::Sender<ChunkReport<T>>,
+    mut report: impl FnMut(ChunkReport<T>) -> bool,
 ) where
     W: Fn(&ChunkCtx<'_>) -> Result<T, String>,
 {
@@ -568,13 +582,16 @@ fn claim_loop<T, W>(
         };
         let mut absorbed = Vec::new();
         let mut verdict = None;
-        for attempt in 0..attempts_budget {
-            // Jittered exponential backoff between attempts, keyed
-            // by chunk index so concurrent retriers desynchronise.
-            // Cancel-aware: a cancellation mid-wait ends the wait.
-            sleep_cancellable(cfg.backoff.delay_for(chunk, attempt), cancel);
-            if attempt > 0 && cancel.is_cancelled() {
-                break;
+        for attempt in 0..=cfg.retries {
+            // Jittered exponential backoff between attempts (the first
+            // never waits), keyed by chunk index so concurrent retriers
+            // desynchronise. Cancel-aware: a cancellation mid-wait ends
+            // the wait.
+            if attempt > 0 {
+                sleep_cancellable(cfg.backoff.delay_for(chunk, attempt), cancel);
+                if cancel.is_cancelled() {
+                    break;
+                }
             }
             let injected = failpoints.check_keyed(SITE_CHUNK, chunk, attempt);
             let ctx = ChunkCtx {
@@ -597,8 +614,8 @@ fn claim_loop<T, W>(
                 Err(fault) => absorbed.push(fault),
             }
         }
-        let report = match verdict {
-            Some(report) => report,
+        let outcome = match verdict {
+            Some(outcome) => outcome,
             // Cancelled mid-retry: the chunk neither succeeded nor
             // exhausted its budget — drop it silently; the
             // supervisor reports the run as `Cancelled`.
@@ -611,14 +628,14 @@ fn claim_loop<T, W>(
                 });
                 ChunkReport::Failed {
                     chunk,
-                    attempts: attempts_budget,
+                    attempts: cfg.retries + 1,
                     last,
                     absorbed: std::mem::take(&mut absorbed),
                 }
             }
         };
-        let failed = matches!(report, ChunkReport::Failed { .. });
-        if tx.send(report).is_err() || failed {
+        let failed = matches!(outcome, ChunkReport::Failed { .. });
+        if !report(outcome) || failed {
             break;
         }
     }
@@ -630,9 +647,17 @@ fn claim_loop<T, W>(
 /// `restored` carries results recovered from a checkpoint journal; those
 /// chunks are not recomputed. `worker` computes one chunk (it must be a
 /// pure function of the chunk index for the determinism guarantee to
-/// hold). `observe` runs on the supervising thread for every chunk
-/// computed *this run*, in completion order — it is the journal append
-/// hook; an error from it aborts the run.
+/// hold). `observe` runs on the calling thread for every chunk computed
+/// *this run*, in completion order — it is the journal append hook; an
+/// error from it aborts the run.
+///
+/// When `cfg.jobs`, clamped to the pending chunks, is at most 1, the
+/// chunks run in order on the calling thread: no thread or channel is
+/// made, and each chunk's report (journal append, progress, cancellation
+/// check) is handled before the next chunk starts. At ≥ 2 jobs the chunks
+/// run on scoped worker threads that send their reports to the calling
+/// thread; if no worker can be spawned, the run falls back to the
+/// calling thread.
 ///
 /// # Errors
 ///
@@ -664,104 +689,112 @@ where
     }
 
     let jobs = cfg.jobs.max(1).min(pending.len().max(1));
-    let attempts_budget = cfg.retries + 1;
     let next = AtomicU64::new(0);
-    let (tx, rx) = mpsc::channel::<ChunkReport<T>>();
 
     let mut absorbed_all: Vec<TaskFault> = Vec::new();
     let mut first_error: Option<RuntimeError> = None;
     let mut done = restored_count;
     let mut computed = 0u64;
 
-    std::thread::scope(|scope| {
-        let mut spawned = 0;
-        for worker_id in 0..jobs {
-            let tx = tx.clone();
-            let (pending, next, worker) = (&pending, &next, &worker);
-            let builder = std::thread::Builder::new().name(format!("ctsdac-worker-{worker_id}"));
-            // Spawn failure is a resource error; degrade to fewer workers
-            // rather than dying.
-            let claim = move || claim_loop(cfg, pending, next, attempts_budget, worker, &tx);
-            if builder.spawn_scoped(scope, claim).is_ok() {
-                spawned += 1;
+    // The supervisor, on this thread: assembles results, journals, tracks
+    // faults, one chunk report at a time. As a claim loop's report sink it
+    // is always there to receive, so it returns true.
+    let mut supervise = |report: ChunkReport<T>| {
+        match report {
+            ChunkReport::Done {
+                chunk,
+                value,
+                absorbed,
+            } => {
+                obs::incr(obs::Counter::PoolChunks);
+                obs::count(obs::Counter::PoolFaults, absorbed.len() as u64);
+                // Every absorbed fault on a chunk that eventually
+                // succeeded implies one re-attempt ran.
+                obs::count(obs::Counter::PoolRetries, absorbed.len() as u64);
+                absorbed_all.extend(absorbed);
+                // A completion racing a cancellation is dropped, not
+                // flushed: once the run is cancelled its merge will never
+                // consume this chunk, so journaling it would leave an
+                // entry a later resume of a *different* configuration
+                // could mistake for durable state.
+                if cfg.cancel.is_cancelled() {
+                    return true;
+                }
+                if first_error.is_none() {
+                    if let Err(e) = observe(chunk, &value) {
+                        first_error = Some(e);
+                        cfg.cancel.cancel();
+                    }
+                }
+                if let Some(slot) = slots.get_mut(chunk as usize) {
+                    *slot = Some(value);
+                }
+                done += 1;
+                computed += 1;
+                if let Some(progress) = &cfg.progress {
+                    progress(&Progress {
+                        done,
+                        total,
+                        elapsed: started.elapsed(),
+                        gauge: cfg.gauge.get(),
+                        units: cfg.units.get(),
+                    });
+                }
+            }
+            ChunkReport::Failed {
+                chunk,
+                attempts,
+                last,
+                absorbed,
+            } => {
+                obs::count(obs::Counter::PoolFaults, absorbed.len() as u64);
+                absorbed_all.extend(absorbed);
+                if first_error.is_none() {
+                    first_error = Some(RuntimeError::ChunkFailed {
+                        chunk,
+                        attempts,
+                        last,
+                    });
+                }
+                cfg.cancel.cancel();
             }
         }
-        if spawned == 0 {
-            // Every spawn failed: claim the chunks on this thread, so the
-            // run completes (its reports queue until the loop below).
-            claim_loop(cfg, &pending, &next, attempts_budget, &worker, &tx);
-        }
-        drop(tx);
+        true
+    };
 
-        // Supervisor loop: assemble results, journal, track faults.
-        for report in rx {
-            match report {
-                ChunkReport::Done {
-                    chunk,
-                    value,
-                    absorbed,
-                } => {
-                    obs::incr(obs::Counter::PoolChunks);
-                    obs::count(obs::Counter::PoolFaults, absorbed.len() as u64);
-                    // Every absorbed fault on a chunk that eventually
-                    // succeeded implies one re-attempt ran.
-                    obs::count(obs::Counter::PoolRetries, absorbed.len() as u64);
-                    absorbed_all.extend(absorbed);
-                    // A completion racing a cancellation is dropped, not
-                    // flushed: once the run is cancelled its merge will
-                    // never consume this chunk, so journaling it would
-                    // leave an entry a later resume of a *different*
-                    // configuration could mistake for durable state.
-                    if cfg.cancel.is_cancelled() {
-                        continue;
-                    }
-                    if first_error.is_none() {
-                        if let Err(e) = observe(chunk, &value) {
-                            first_error = Some(e);
-                            cfg.cancel.cancel();
-                        }
-                    }
-                    if let Some(slot) = slots.get_mut(chunk as usize) {
-                        *slot = Some(value);
-                    }
-                    done += 1;
-                    computed += 1;
-                    if let Some(progress) = &cfg.progress {
-                        progress(&Progress {
-                            done,
-                            total,
-                            elapsed: started.elapsed(),
-                            gauge: cfg.gauge.get(),
-                            units: cfg.units.get(),
-                        });
-                    }
-                }
-                ChunkReport::Failed {
-                    chunk,
-                    attempts,
-                    last,
-                    absorbed,
-                } => {
-                    obs::count(obs::Counter::PoolFaults, absorbed.len() as u64);
-                    absorbed_all.extend(absorbed);
-                    if first_error.is_none() {
-                        first_error = Some(RuntimeError::ChunkFailed {
-                            chunk,
-                            attempts,
-                            last,
-                        });
-                    }
-                    cfg.cancel.cancel();
+    let mut spawned = 0;
+    if jobs > 1 {
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel::<ChunkReport<T>>();
+            for worker_id in 0..jobs {
+                let tx = tx.clone();
+                let (pending, next, worker) = (&pending, &next, &worker);
+                let builder =
+                    std::thread::Builder::new().name(format!("ctsdac-worker-{worker_id}"));
+                // Spawn failure is a resource error; degrade to fewer
+                // workers rather than dying.
+                let claim = move || claim_loop(cfg, pending, next, worker, |r| tx.send(r).is_ok());
+                if builder.spawn_scoped(scope, claim).is_ok() {
+                    spawned += 1;
                 }
             }
-        }
-    });
+            drop(tx);
+            for report in rx {
+                supervise(report);
+            }
+        });
+    }
+    if spawned == 0 {
+        // One job, or no worker could be spawned: claim the chunks on
+        // this thread, each report handled before the next chunk starts.
+        claim_loop(cfg, &pending, &next, &worker, &mut supervise);
+    }
 
     if let Some(e) = first_error {
         return Err(e);
     }
     if slots.iter().any(Option::is_none) {
-        // Workers stopped claiming before finishing: cancellation.
+        // Claiming stopped before finishing: cancellation.
         return Err(RuntimeError::Cancelled { done, total });
     }
     absorbed_all.sort_by_key(|f| f.chunk());
@@ -1009,6 +1042,100 @@ mod tests {
             .expect("supervised");
             assert_eq!(report.results, baseline, "jobs = {jobs}");
         }
+    }
+
+    #[test]
+    fn one_job_runs_every_chunk_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for jobs in [0, 1] {
+            let cfg = PoolConfig {
+                jobs,
+                ..PoolConfig::sequential()
+            };
+            let threads = Mutex::new(Vec::new());
+            let report = run_chunks(
+                &cfg,
+                6,
+                BTreeMap::new(),
+                |ctx| {
+                    threads
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(std::thread::current().id());
+                    echo_worker(ctx)
+                },
+                no_observe,
+            )
+            .expect("runs");
+            assert_eq!(report.computed, 6);
+            let threads = threads.into_inner().unwrap_or_else(|e| e.into_inner());
+            assert_eq!(threads, vec![caller; 6], "jobs = {jobs}");
+        }
+    }
+
+    #[test]
+    fn one_job_observes_and_reports_each_chunk_before_the_next_starts() {
+        #[derive(Debug, PartialEq)]
+        enum Event {
+            Body(u64),
+            Observe(u64),
+            Progress(u64),
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut cfg = PoolConfig::sequential();
+        let sink = log.clone();
+        cfg.progress = Some(Arc::new(move |p: &Progress| {
+            sink.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(Event::Progress(p.done));
+        }));
+        let push = |e| log.lock().unwrap_or_else(|e| e.into_inner()).push(e);
+        run_chunks(
+            &cfg,
+            4,
+            BTreeMap::from([(1u64, 10u64)]),
+            |ctx| {
+                push(Event::Body(ctx.chunk));
+                echo_worker(ctx)
+            },
+            |chunk, _| {
+                push(Event::Observe(chunk));
+                Ok(())
+            },
+        )
+        .expect("runs");
+        // Chunk 1 is restored, so `done` starts at 1 and skips it.
+        let expected = [(0, 2), (2, 3), (3, 4)]
+            .into_iter()
+            .flat_map(|(chunk, done)| {
+                [
+                    Event::Body(chunk),
+                    Event::Observe(chunk),
+                    Event::Progress(done),
+                ]
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(*log.lock().unwrap_or_else(|e| e.into_inner()), expected);
+    }
+
+    #[test]
+    fn a_nested_one_job_run_keeps_the_outer_attempt_flag() {
+        let cfg = PoolConfig::sequential();
+        let report = run_chunks(
+            &cfg,
+            2,
+            BTreeMap::new(),
+            |ctx| {
+                let inner = run_chunks(&cfg, 3, BTreeMap::new(), echo_worker, no_observe)
+                    .map_err(|e| e.to_string())?;
+                assert!(IN_ATTEMPT.with(Cell::get), "nested run cleared the flag");
+                Ok(ctx.chunk + inner.results.iter().sum::<u64>())
+            },
+            no_observe,
+        )
+        .expect("runs");
+        assert_eq!(report.results, vec![30, 31]);
+        assert!(!IN_ATTEMPT.with(Cell::get), "flag outlived the attempts");
     }
 
     #[test]

@@ -38,10 +38,11 @@ type EvictHook = Box<dyn Fn(&str) + Send + Sync>;
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    /// `ready` and `order` share one allocation per key.
+    /// `ready`, `order`, `pending` and the store's writer (through
+    /// [`LeaderGuard::key`]) share one allocation per key.
     ready: BTreeMap<Arc<str>, String>,
     order: VecDeque<Arc<str>>,
-    pending: Vec<String>,
+    pending: Vec<Arc<str>>,
     /// Sum of `key.len() + value.len()` over `ready`.
     bytes: usize,
 }
@@ -82,11 +83,17 @@ pub enum Claim {
 #[derive(Debug)]
 pub struct LeaderGuard<'a> {
     cache: &'a ResultCache,
-    key: String,
+    key: Arc<str>,
     done: bool,
 }
 
 impl LeaderGuard<'_> {
+    /// The claimed key, the allocation the cache keeps once the result
+    /// is fulfilled; share it rather than copying the key.
+    pub fn key(&self) -> &Arc<str> {
+        &self.key
+    }
+
     /// Publishes a successful result (cached + followers woken), or
     /// withdraws leadership on failure (followers woken; the next one
     /// promotes itself).
@@ -139,16 +146,20 @@ impl ResultCache {
     /// Inserts recovered `(key, value)` entries directly (no leader
     /// protocol), respecting both bounds; returns how many were
     /// inserted. Used once at startup to warm the cache from the store.
-    pub fn prime(&self, entries: impl IntoIterator<Item = (String, String)>) -> usize {
+    pub fn prime<K: Into<Arc<str>>>(
+        &self,
+        entries: impl IntoIterator<Item = (K, String)>,
+    ) -> usize {
         let mut evicted = Vec::new();
         let mut n = 0;
         {
             let mut inner = self.lock();
             for (key, value) in entries {
-                if inner.ready.contains_key(key.as_str()) {
+                let key = key.into();
+                if inner.ready.contains_key(&key) {
                     continue;
                 }
-                self.insert_locked(&mut inner, &key, &value, &mut evicted);
+                self.insert_locked(&mut inner, key, &value, &mut evicted);
                 n += 1;
             }
         }
@@ -172,11 +183,12 @@ impl ResultCache {
             if let Some(hit) = inner.ready.get(key) {
                 return (Claim::Hit(hit.clone()), None);
             }
-            if !inner.pending.iter().any(|k| k == key) {
-                inner.pending.push(key.to_string());
+            if !inner.pending.iter().any(|k| &**k == key) {
+                let key: Arc<str> = Arc::from(key);
+                inner.pending.push(Arc::clone(&key));
                 let guard = LeaderGuard {
                     cache: self,
-                    key: key.to_string(),
+                    key,
                     done: false,
                 };
                 return (Claim::Lead, Some(guard));
@@ -202,14 +214,14 @@ impl ResultCache {
     }
 
     /// Completes a pending key (used by [`LeaderGuard`]).
-    fn fulfill(&self, key: &str, result: Option<&str>) {
+    fn fulfill(&self, key: &Arc<str>, result: Option<&str>) {
         let mut evicted = Vec::new();
         {
             let mut inner = self.lock();
             inner.pending.retain(|k| k != key);
             if let Some(body) = result {
                 if !inner.ready.contains_key(key) {
-                    self.insert_locked(&mut inner, key, body, &mut evicted);
+                    self.insert_locked(&mut inner, Arc::clone(key), body, &mut evicted);
                 }
             }
         }
@@ -222,11 +234,10 @@ impl ResultCache {
     fn insert_locked(
         &self,
         inner: &mut CacheInner,
-        key: &str,
+        key: Arc<str>,
         value: &str,
         evicted: &mut Vec<Arc<str>>,
     ) {
-        let key: Arc<str> = Arc::from(key);
         inner.order.push_back(Arc::clone(&key));
         inner.bytes += key.len() + value.len();
         inner.ready.insert(key, value.to_string());

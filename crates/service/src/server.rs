@@ -592,8 +592,10 @@ fn handle_api(shared: &Shared, mode: Mode, body: &[u8]) -> Response {
                     // publishing to followers, so an eviction hook firing
                     // inside fulfill() tombstones *after* the put. Both
                     // calls are non-blocking — no fsync on this path.
-                    if let Some(store) = &shared.store {
-                        store.put(&key, &result);
+                    // A lead always carries its guard; the put shares the
+                    // guard's key, the allocation the cache keeps.
+                    if let (Some(store), Some(g)) = (&shared.store, &guard) {
+                        store.put_shared(Arc::clone(g.key()), &result);
                     }
                     if let Some(g) = guard {
                         g.fulfill(Some(&result));

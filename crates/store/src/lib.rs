@@ -333,7 +333,7 @@ fn scan_dir(dir: &Path) -> Result<Scan, StoreError> {
 
 #[derive(Debug)]
 enum Op {
-    Put { key: String, value: String },
+    Put { key: Arc<str>, value: String },
     Evict { key: String },
 }
 
@@ -431,10 +431,10 @@ impl Store {
             .map_err(|e| io_err(&path, &e))?;
         obs::record_gauge(Counter::StoreSegments, scan.segs.len() as u64 + 1);
 
-        let mut live: BTreeMap<String, u64> = BTreeMap::new();
+        let mut live: BTreeMap<Arc<str>, u64> = BTreeMap::new();
         let mut live_bytes = 0u64;
         for e in &scan.entries {
-            live.insert(e.key.clone(), e.bytes);
+            live.insert(Arc::from(e.key.as_str()), e.bytes);
             live_bytes += e.bytes;
         }
         let writer = Writer {
@@ -474,8 +474,15 @@ impl Store {
     /// the record reaches disk within one fsync interval. No-op once the
     /// store is degraded or closed.
     pub fn put(&self, key: &str, value: &str) {
+        self.put_shared(Arc::from(key), value);
+    }
+
+    /// [`Store::put`] with a key the caller already holds as an
+    /// `Arc<str>` (the result cache's): the queue and the live-key map
+    /// keep that allocation instead of a copy of the key.
+    pub fn put_shared(&self, key: Arc<str>, value: &str) {
         self.enqueue(Op::Put {
-            key: key.to_string(),
+            key,
             value: value.to_string(),
         });
     }
@@ -560,8 +567,9 @@ struct Writer {
     active_bytes: u64,
     sealed_bytes: u64,
     seg_count: u64,
-    /// key → on-disk bytes of its latest put record.
-    live: BTreeMap<String, u64>,
+    /// key → on-disk bytes of its latest put record. Keys put through
+    /// [`Store::put_shared`] share the caller's allocation.
+    live: BTreeMap<Arc<str>, u64>,
     live_bytes: u64,
     segment_bytes: u64,
     cap_bytes: u64,
@@ -610,9 +618,11 @@ fn flusher_loop(shared: Arc<Shared>, mut w: Writer) {
             (batch, g.seq, g.stop)
         };
 
+        // The batch is consumed here, so its ops (and the keys they share
+        // with the cache) are released before a flush waiter wakes.
         let mut ok = true;
-        for op in &batch {
-            if !append_op(&shared, &mut w, op) {
+        for op in batch {
+            if !append_op(&shared, &mut w, &op) {
                 ok = false;
                 break;
             }
@@ -660,7 +670,7 @@ fn flusher_loop(shared: Arc<Shared>, mut w: Writer) {
 /// failed write, real or injected).
 fn append_op(shared: &Shared, w: &mut Writer, op: &Op) -> bool {
     let (kind, key, value) = match op {
-        Op::Put { key, value } => (KIND_PUT, key.as_str(), value.as_str()),
+        Op::Put { key, value } => (KIND_PUT, &**key, value.as_str()),
         Op::Evict { key } => (KIND_EVICT, key.as_str(), ""),
     };
     let rec = encode_record(kind, key, value);
@@ -685,13 +695,18 @@ fn append_op(shared: &Shared, w: &mut Writer, op: &Op) -> bool {
     let n = rec.len() as u64;
     w.active_bytes += n;
     obs::incr(Counter::StoreRecordsAppended);
-    if kind == KIND_PUT {
-        if let Some(old) = w.live.insert(key.to_string(), n) {
-            w.live_bytes -= old;
+    match op {
+        Op::Put { key, .. } => {
+            if let Some(old) = w.live.insert(Arc::clone(key), n) {
+                w.live_bytes -= old;
+            }
+            w.live_bytes += n;
         }
-        w.live_bytes += n;
-    } else if let Some(old) = w.live.remove(key) {
-        w.live_bytes -= old;
+        Op::Evict { key } => {
+            if let Some(old) = w.live.remove(key.as_str()) {
+                w.live_bytes -= old;
+            }
+        }
     }
     true
 }
@@ -771,7 +786,18 @@ fn compact(shared: &Shared, w: &mut Writer) -> bool {
             let _ = fs::remove_file(seg_path(&w.dir, old));
         }
     }
-    w.live = entries.iter().map(|e| (e.key.clone(), e.bytes)).collect();
+    // Keep the live keys' allocations (shared with the cache) across the
+    // rewrite instead of the scan's fresh copies.
+    let old = std::mem::take(&mut w.live);
+    w.live = entries
+        .iter()
+        .map(|e| {
+            let key = old
+                .get_key_value(e.key.as_str())
+                .map_or_else(|| Arc::from(e.key.as_str()), |(k, _)| Arc::clone(k));
+            (key, e.bytes)
+        })
+        .collect();
     w.live_bytes = entries.iter().map(|e| e.bytes).sum();
     w.file = file;
     w.active_idx = idx;
@@ -908,6 +934,26 @@ mod tests {
                 .map(|(_, v)| v.as_str()),
             Some("{\"i\":49}")
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn put_shared_keeps_the_callers_key_allocation() {
+        let dir = temp_dir("shared");
+        let mut cfg = small_cfg(&dir);
+        cfg.segment_bytes = 512;
+        cfg.cap_bytes = 2048;
+        let (store, _) = Store::open(cfg).expect("open");
+        let key: Arc<str> = Arc::from("hot");
+        // Enough rewrites of one key to rotate and compact: the live map
+        // must hold the caller's allocation throughout, never a copy.
+        for i in 0..50 {
+            store.put_shared(Arc::clone(&key), &format!("{{\"i\":{i}}}"));
+            store.flush();
+            assert_eq!(Arc::strong_count(&key), 2, "after put {i}");
+        }
+        store.close();
+        assert_eq!(Arc::strong_count(&key), 1, "writer released the key");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -52,7 +52,9 @@
 #    `--trace=json` must exit cleanly and emit a well-formed metrics
 #    snapshot; the snapshot's deterministic section must be byte-identical
 #    between --jobs 1 and --jobs 8 at the same seed, for a simple-cell
-#    and for a cascoded run.
+#    and for a cascoded run, and so must stdout between the default run,
+#    --jobs 8 and a checkpointed --jobs 1 run (minus the supervision
+#    line).
 # 9. Service smoke: a real `dacd` process with chaos armed must serve a
 #    computed sizing request, re-serve an identical repeat bit-for-bit
 #    from the cache, turn a too-short deadline into a typed 504 via
@@ -262,16 +264,40 @@ for key in '"schema": "ctsdac-metrics-v1"' '"deterministic"' \
 done
 rm -f "$obs_json"
 
-echo "==> metrics determinism (deterministic section, --jobs 1 vs --jobs 8)"
+echo "==> metrics determinism (deterministic section, --jobs 1 vs --jobs 8; stdout)"
 # The deterministic section counts work, not scheduling: it must be
 # byte-identical across worker counts at the same seed. Fault-free run,
 # forced simple topology so the sweep and MC paths both execute.
+# The report itself (design plus the saturation-yield line) must be too:
+# the default run's stdout must equal that of --jobs 8 and of a
+# checkpointed --jobs 1 run, minus their `supervision:` line.
 det1="${TMPDIR:-/tmp}/ctsdac_metrics_j1.json"
 det8="${TMPDIR:-/tmp}/ctsdac_metrics_j8.json"
+out="${TMPDIR:-/tmp}/ctsdac_stdout"
+stdout_gate() {
+    cargo run --offline -q -p ctsdac --bin dacsizer -- \
+        --topology "$1" --grid 8 --seed 7 > "$out.default"
+    if ! grep -q '^saturation yield' "$out.default"; then
+        echo "FAIL: $1 run printed no saturation-yield line"
+        exit 1
+    fi
+    rm -f "$out.ckpt" "$out.ckpt.mc"
+    cargo run --offline -q -p ctsdac --bin dacsizer -- \
+        --topology "$1" --grid 8 --seed 7 --jobs 1 --checkpoint "$out.ckpt" > "$out.j1ckpt"
+    for other in j8 j1ckpt; do
+        if ! grep -v '^supervision:' "$out.$other" | cmp -s "$out.default" -; then
+            echo "FAIL: $1 stdout differs between the default run and $other:"
+            grep -v '^supervision:' "$out.$other" | diff "$out.default" - || true
+            exit 1
+        fi
+    done
+    rm -f "$out.default" "$out.j8" "$out.j1ckpt" "$out.ckpt" "$out.ckpt.mc"
+}
 cargo run --offline -q -p ctsdac --bin dacsizer -- \
     --topology simple --grid 8 --jobs 1 --seed 7 --metrics-out "$det1" >/dev/null
 cargo run --offline -q -p ctsdac --bin dacsizer -- \
-    --topology simple --grid 8 --jobs 8 --seed 7 --metrics-out "$det8" >/dev/null
+    --topology simple --grid 8 --jobs 8 --seed 7 --metrics-out "$det8" > "$out.j8"
+stdout_gate simple
 sed -n '/"deterministic": {/,/^  },$/p' "$det1" > "$det1.det"
 sed -n '/"deterministic": {/,/^  },$/p' "$det8" > "$det8.det"
 if ! cmp -s "$det1.det" "$det8.det"; then
@@ -288,7 +314,8 @@ fi
 cargo run --offline -q -p ctsdac --bin dacsizer -- \
     --topology cascoded --grid 8 --jobs 1 --seed 7 --metrics-out "$det1" >/dev/null
 cargo run --offline -q -p ctsdac --bin dacsizer -- \
-    --topology cascoded --grid 8 --jobs 8 --seed 7 --metrics-out "$det8" >/dev/null
+    --topology cascoded --grid 8 --jobs 8 --seed 7 --metrics-out "$det8" > "$out.j8"
+stdout_gate cascoded
 sed -n '/"deterministic": {/,/^  },$/p' "$det1" > "$det1.det"
 sed -n '/"deterministic": {/,/^  },$/p' "$det8" > "$det8.det"
 if ! cmp -s "$det1.det" "$det8.det"; then

@@ -26,18 +26,22 @@
 //! (or excludes) the target, with `--yield-trials` as the budget fallback.
 //! A test that stops after `n` trials reports the counts of the fixed
 //! check with `--yield-trials n`. The sequential test runs on the calling
-//! thread even when the sweep is supervised.
+//! thread at any `--jobs`.
 //!
 //! # Supervision
 //!
-//! `--jobs`, `--checkpoint`, `--resume` or `--progress` switch the sizing
-//! sweep and the Monte-Carlo check onto the supervised runtime: a
-//! panic-isolated worker pool with per-chunk retry, optional per-chunk
-//! `--deadline`, and a write-ahead checkpoint journal. The sized design
-//! and the yield counts are bit-identical for any `--jobs`, across
-//! `--resume`, and to a run without supervision flags at the same seed.
-//! `--checkpoint P` journals the sweep to `P` and the yield check to
-//! `P.mc`; `--resume` restores completed chunks from both.
+//! The simple-cell search and the fixed-budget Monte-Carlo check always
+//! run on the supervised runtime: per-chunk panic isolation and retry,
+//! an optional per-chunk `--deadline`, and an optional write-ahead
+//! checkpoint journal. At the default `--jobs 1` the chunks run in order
+//! on the main thread; `--jobs N` spreads them over `N` worker threads.
+//! The sized design and the yield counts are bit-identical for any
+//! `--jobs` and across `--resume`. `--checkpoint P` journals the search
+//! to `P` and the yield check to `P.mc`; `--resume` restores completed
+//! chunks from both. When `--jobs` is above 1, or `--checkpoint`,
+//! `--resume`, `--progress` or `--failpoints` is given, the report ends
+//! with a `supervision:` line (chunks computed and restored, faults
+//! absorbed); without them stdout carries no supervision record.
 //!
 //! # Observability
 //!
@@ -49,9 +53,10 @@
 //! byte-identical across `--jobs` settings at the same seed; timings and
 //! scheduling counters live in `"nondeterministic"`. Either flag enables
 //! the metrics registry. `--failpoints SPEC` arms the failpoint registry
-//! (seeded by `--failpoint-seed`) and implies the supervised runtime, where
-//! its sites live: `panic@pool.chunk[1]:1,nan@pool.chunk[3]:1` scripts pool
-//! faults for CI drills (`:1` is a chunk's first attempt, in every stage).
+//! (seeded by `--failpoint-seed`; without the flag it is armed from the
+//! `CTSDAC_FAILPOINTS` environment variable):
+//! `panic@pool.chunk[1]:1,nan@pool.chunk[3]:1` scripts pool faults for CI
+//! drills (`:1` is a chunk's first attempt, in every stage).
 //!
 //! # Exit codes
 //!
@@ -68,12 +73,10 @@
 
 use ctsdac::circuit::cell::CellEnvironment;
 use ctsdac::core::explore::Objective;
-use ctsdac::core::flow::{
-    run_flow, run_flow_supervised, DesignReport, FlowError, FlowOptions, TopologyChoice,
-};
+use ctsdac::core::flow::{run_flow_supervised, FlowError, FlowOptions, TopologyChoice};
 use ctsdac::core::saturation::SaturationCondition;
 use ctsdac::core::validate::{
-    saturation_yield, saturation_yield_sequential, saturation_yield_supervised, MC_CHUNK_TRIALS,
+    saturation_yield_sequential, saturation_yield_supervised, MC_CHUNK_TRIALS,
 };
 use ctsdac::core::DacSpec;
 use ctsdac::obs;
@@ -169,8 +172,9 @@ impl Default for Args {
 }
 
 impl Args {
-    /// True when any supervision feature is requested; the sizing sweep and
-    /// the yield check then run on the supervised runtime.
+    /// True when any supervision feature is requested; the report then
+    /// ends with the `supervision:` note. Both stages run on the
+    /// supervised runtime either way.
     fn supervised(&self) -> bool {
         self.jobs > 1
             || self.checkpoint.is_some()
@@ -179,7 +183,7 @@ impl Args {
             || self.failpoints.is_some()
     }
 
-    /// Builds the execution policy for a supervised stage. `units` names
+    /// Builds the execution policy of a stage. `units` names
     /// the stage's work unit in the progress heartbeat (`"pts"` for sweep
     /// design points, `"trials"` for MC trials); `journal` derives the
     /// stage's checkpoint path from `--checkpoint`.
@@ -398,7 +402,7 @@ fn usage() -> &'static str {
      [--trace[=json|human]] [--metrics-out PATH] \
      [--failpoints SPEC] [--failpoint-seed N]\n\
      failpoints: kind@site[[key]][:N|N..|1/N],... e.g. panic@pool.chunk[1]:1,\
-     nan@pool.chunk[3]:1,delay=50@pool.chunk[0]:1 (implies supervision)\n\
+     nan@pool.chunk[3]:1,delay=50@pool.chunk[0]:1 (adds the supervision line)\n\
      the simple-cell search is exact and DC-verifies only the chosen design\n\
      exit codes: 0 ok, 2 invalid arguments, 3 empty design space, \
      4 numerical failure, 5 supervised-runtime failure"
@@ -452,26 +456,13 @@ fn main() -> ExitCode {
         f_update: args.rate_msps * 1e6,
         ..FlowOptions::default()
     };
-    let supervised = args.supervised();
     // Scoped so the root span closes (and its timing lands in the span
     // statistics) before the snapshot is rendered.
     let root_span = obs::span("dacsizer.run");
-    let outcome: Result<(DesignReport, Option<String>), FlowError> = if supervised {
-        run_flow_supervised(&spec, &options, &args.policy("pts", |p| p.clone())).map(|sup| {
-            let note = format!(
-                "supervision: {} chunks computed, {} restored from checkpoint, \
-                 {} faults absorbed",
-                sup.computed,
-                sup.restored,
-                sup.faults.len()
-            );
-            (sup.value, Some(note))
-        })
-    } else {
-        run_flow(&spec, &options).map(|r| (r, None))
-    };
+    let outcome = run_flow_supervised(&spec, &options, &args.policy("pts", |p| p.clone()));
     let code = match outcome {
-        Ok((report, supervision_note)) => {
+        Ok(sup) => {
+            let report = &sup.value;
             print!("{}", report.to_markdown());
             let rate_ok = report.meets_update_rate(options.f_update);
             println!(
@@ -488,8 +479,14 @@ fn main() -> ExitCode {
                     ", corner derating needed"
                 }
             );
-            if let Some(note) = supervision_note {
-                println!("{note}");
+            if args.supervised() {
+                println!(
+                    "supervision: {} chunks computed, {} restored from checkpoint, \
+                     {} faults absorbed",
+                    sup.computed,
+                    sup.restored,
+                    sup.faults.len()
+                );
             }
             // Seeded MC cross-check of the saturation yield at the sized
             // point, with the cascode overdrive lumped into the CS branch as
@@ -523,16 +520,10 @@ fn main() -> ExitCode {
                 None => {
                     let plan = McPlan::new(args.seed, trials, MC_CHUNK_TRIALS)
                         .expect("--yield-trials is validated non-zero");
-                    let fixed = if supervised {
-                        let policy =
-                            args.policy("trials", |p| PathBuf::from(format!("{}.mc", p.display())));
-                        saturation_yield_supervised(&spec, vov_cs, vov_sw, &plan, &policy)
-                            .map(|y| y.value)
-                    } else {
-                        saturation_yield(&spec, vov_cs, vov_sw, &plan)
-                    };
-                    fixed
-                        .map(|y| (format!("{trials} trials"), y.to_string()))
+                    let policy =
+                        args.policy("trials", |p| PathBuf::from(format!("{}.mc", p.display())));
+                    saturation_yield_supervised(&spec, vov_cs, vov_sw, &plan, &policy)
+                        .map(|y| (format!("{trials} trials"), y.value.to_string()))
                         .map_err(|e| e.to_string())
                 }
             };
@@ -601,7 +592,7 @@ mod tests {
             Command::Run(a) => {
                 assert_eq!(a.yield_trials, 10_000);
                 assert_eq!(a.yield_ci, Some(0.95));
-                // Yield-check flags alone do not engage the supervised pool.
+                // Yield-check flags alone add no supervision line.
                 assert!(!a.supervised());
             }
             _ => panic!("expected a run command"),
@@ -686,7 +677,7 @@ mod tests {
         };
         assert_eq!(a.trace, Some(TraceMode::Human));
         assert_eq!(a.metrics_out, Some(PathBuf::from("/tmp/m.json")));
-        // Observability alone never engages the supervised pool.
+        // Observability alone adds no supervision line.
         assert!(!a.supervised());
         let Command::Run(a) = parse(&["--trace=json"]).expect("valid") else {
             panic!("expected run")
@@ -705,7 +696,7 @@ mod tests {
             panic!("expected run")
         };
         assert_eq!(a.failpoints.as_deref(), Some(spec));
-        assert!(a.supervised(), "--failpoints implies the supervised pool");
+        assert!(a.supervised(), "--failpoints adds the supervision line");
         for bad in [
             "panic",
             "oops@pool.chunk",

@@ -322,3 +322,38 @@ fn simple_search_dc_verifies_only_the_winner_at_any_job_count() {
         "deterministic metrics depend on --jobs"
     );
 }
+
+#[test]
+fn a_panicking_chunk_at_the_default_jobs_is_retried_quietly() {
+    // At one job the chunks run on the main thread; a supervised panic
+    // there is caught, retried and kept off stderr like a worker's.
+    let clean = dacsizer(&["--topology", "simple", "--grid", "16"]);
+    assert!(clean.ok(), "stderr: {}", clean.stderr);
+    let faulted = dacsizer(&[
+        "--topology",
+        "simple",
+        "--grid",
+        "16",
+        "--failpoints",
+        "panic@pool.chunk[0]:1",
+    ]);
+    assert!(faulted.ok(), "stderr: {}", faulted.stderr);
+    assert!(
+        !faulted.stderr.contains("panicked at"),
+        "supervised panic leaked to stderr: {}",
+        faulted.stderr
+    );
+    let report = |run: &CliRun| {
+        run.stdout
+            .lines()
+            .filter(|l| !l.starts_with("supervision:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(report(&faulted), report(&clean));
+    assert!(
+        faulted.stdout.contains("faults absorbed") && !faulted.stdout.contains(" 0 faults"),
+        "{}",
+        faulted.stdout
+    );
+}
